@@ -57,10 +57,7 @@ from .system import (
     angular_eigenvalue,
     angular_function,
     density,
-    energy,
-    energy_total,
     make_params,
-    normalization,
     solve_state,
 )
 from .validation import CheckResult, run_checks
@@ -88,8 +85,6 @@ __all__ = [
     "angular_integrals_numeric",
     "density",
     "density_norm_numeric",
-    "energy",
-    "energy_total",
     "fisher_closed",
     "fisher_numeric",
     "gamma0",
@@ -101,7 +96,6 @@ __all__ = [
     "mathieu_char_matrix",
     "mathieu_char_series",
     "mathieu_even_solution",
-    "normalization",
     "radial_fd_eigen",
     "raw_number_params",
     "renyi",

@@ -5,6 +5,10 @@ breakdowns), ``table`` (the published-table layout for molecule
 presets), ``sweep`` (CSV parameter sweeps for plotting), ``validate``
 (the cross-validation suite).  Exit codes: 0 success, 1 computation or
 validation failure, 2 usage error.
+
+:func:`evaluate` is the one place that routes a measure to its closed
+form or to the oracle; ``compute``, ``sweep`` and ``table`` only solve
+states and format what it returns.
 """
 
 from __future__ import annotations
@@ -16,10 +20,17 @@ import math
 import sys
 import warnings
 from contextlib import nullcontext
-from typing import IO
+from typing import IO, Iterable
 
 from . import molecules
-from .measures import fisher_closed, renyi, shannon_closed, tsallis, wq_closed
+from .measures import (
+    EntropicMoment,
+    fisher_closed,
+    renyi,
+    shannon_closed,
+    tsallis,
+    wq_closed,
+)
 from .oracle import AccuracyError, fisher_numeric, shannon_numeric, wq_numeric
 from .specfun import (
     CancellationWarning,
@@ -29,6 +40,7 @@ from .specfun import (
 )
 from .system import (
     AngularMode,
+    SolvedState,
     StateSpec,
     SystemParams,
     UnboundAngularError,
@@ -37,7 +49,20 @@ from .system import (
 )
 from .validation import CheckResult, run_checks
 
-MEASURES = ("fisher", "shannon", "tsallis", "renyi", "wq", "energy")
+# Each measure and the symbol of its headline value.
+SYMBOLS = {"fisher": "I", "shannon": "S", "tsallis": "T", "renyi": "R",
+           "wq": "W", "energy": "E"}
+MEASURES = tuple(SYMBOLS)
+# compute's output for each measure, filled in from evaluate's values.
+COMPUTE_LINES = {
+    "fisher": "fisher: I={I} (radial I1={I1}, angular I2={I2}; {route})",
+    "shannon": "shannon: S={S} (quadrature)\nshannon closed form (asymptotic): "
+               "S={S_closed} [S1={S1} S2={S2} S3={S3} S4={S4}]",
+    "tsallis": "tsallis: T_{q}={T} (W_{q}={W})",
+    "renyi": "renyi: R_{q}={R} (W_{q}={W})",
+    "wq": "entropic moment: W_{q}={W}",
+    "energy": "energy: E={E} E_total={E_total}",
+}
 UNIT_CHOICES = ("raw", "converted")
 
 
@@ -89,6 +114,15 @@ def _add_param_flags(sub: argparse.ArgumentParser, with_preset: bool = True) -> 
         )
 
 
+def _preset_params(preset: molecules.MoleculePreset,
+                   args: argparse.Namespace) -> SystemParams:
+    """A preset's parameters as --units reads them, with --D and --delta."""
+    if args.units == "raw":
+        return molecules.raw_number_params(preset, Dm=args.D, delta=args.delta)
+    return molecules.to_atomic_units(preset, Dm=args.D, delta=args.delta,
+                                     mu_convention=args.mu_convention)
+
+
 def _params_from_args(parser: argparse.ArgumentParser,
                       args: argparse.Namespace) -> tuple[SystemParams, str]:
     """Build SystemParams from either a preset or explicit values."""
@@ -97,14 +131,10 @@ def _params_from_args(parser: argparse.ArgumentParser,
         parser.error("--preset and explicit --De/--re are mutually exclusive")
     if preset_name:
         preset = molecules.get_preset(preset_name, getattr(args, "preset_file", None))
-        if args.units == "raw":
-            params = molecules.raw_number_params(preset, Dm=args.D, delta=args.delta)
-            note = f"preset {preset.name}, raw-numbers interpretation (mu=1)"
-        else:
-            params = molecules.to_atomic_units(
-                preset, Dm=args.D, delta=args.delta, mu_convention=args.mu_convention
-            )
-            note = f"preset {preset.name}, converted units ({args.mu_convention} mass)"
+        params = _preset_params(preset, args)
+        note = (f"preset {preset.name}, raw-numbers interpretation (mu=1)"
+                if args.units == "raw" else
+                f"preset {preset.name}, converted units ({args.mu_convention} mass)")
         if args.mu is not None:
             params = make_params(De=params.De, re=params.re, Dm=params.Dm,
                                  delta=params.delta, mu=args.mu)
@@ -117,10 +147,6 @@ def _params_from_args(parser: argparse.ArgumentParser,
     return params, "explicit parameters"
 
 
-def _mode_of(args: argparse.Namespace) -> AngularMode:
-    return AngularMode.PAPER_COSINE if args.mode == "cosine" else AngularMode.MATHIEU_NUMERIC
-
-
 def _parse_measures(parser: argparse.ArgumentParser, text: str) -> list[str]:
     names = [part.strip() for part in text.split(",") if part.strip()]
     bad = [name for name in names if name not in MEASURES]
@@ -131,6 +157,52 @@ def _parse_measures(parser: argparse.ArgumentParser, text: str) -> list[str]:
     return names
 
 
+def evaluate(params: SystemParams, state: SolvedState, measures: Iterable[str],
+             q: int) -> tuple[str, dict[str, float]]:
+    """The measures of one solved state, each by its one route.
+
+    Closed forms assume the cosine angular convention, so under it they
+    answer; under the numeric Mathieu profile the oracle's quadratures
+    do.  Shannon is always the quadrature (the closed form is only
+    asymptotic).  Tsallis, Renyi and W_q share one entropic moment,
+    evaluated at most once.  Returns the route of Fisher and the moment
+    ("closed form" or "quadrature") and the printed values by symbol:
+    I, I1, I2, S, T, R, W, E and E_total, as far as asked for.
+    """
+    cosine = state.mode is AngularMode.PAPER_COSINE
+    values: dict[str, float] = {}
+    moment = None
+    for name in measures:
+        if name == "fisher":
+            f = fisher_closed(params, state) if cosine else fisher_numeric(params, state)
+            values.update(I=f.I, I1=f.I1, I2=f.I2)
+        elif name == "shannon":
+            values["S"] = shannon_numeric(params, state)
+        elif name == "energy":
+            values.update(E=state.energy, E_total=state.energy_total)
+        else:
+            if moment is None:
+                if cosine:
+                    moment = wq_closed(params, state, q)
+                else:
+                    w = wq_numeric(params, state, q)
+                    moment = EntropicMoment(q, w, math.log(w))
+                values["W"] = moment.Wq
+            if name == "tsallis":
+                values["T"] = tsallis(moment)
+            elif name == "renyi":
+                values["R"] = renyi(moment)
+    return ("closed form" if cosine else "quadrature"), values
+
+
+def _report_warnings(caught: list[warnings.WarningMessage]) -> int:
+    """Print each distinct warning once, in first-seen order; return how many."""
+    messages = dict.fromkeys(str(w.message) for w in caught)
+    for message in messages:
+        print(f"warning: {message}", file=sys.stderr)
+    return len(messages)
+
+
 def cmd_compute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     params, note = _params_from_args(parser, args)
     measures = _parse_measures(parser, args.measure)
@@ -138,10 +210,11 @@ def cmd_compute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         parser.error("--q must be an integer >= 2 for tsallis/renyi")
     if args.q < 1 and "wq" in measures:
         parser.error("--q must be an integer >= 1 for wq")
-    spec = StateSpec(args.n, args.m)
+    spec, q = StateSpec(args.n, args.m), args.q
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        state = solve_state(params, spec, mode=_mode_of(args), method=args.method)
+        state = solve_state(params, spec, mode=AngularMode(args.mode), method=args.method)
+        route, values = evaluate(params, state, measures, q)
         lines = [
             f"state: n={spec.n_r} m={spec.m} delta={_fmt(params.delta)} "
             f"D={_fmt(params.Dm)} mode={args.mode} method={args.method}",
@@ -150,51 +223,15 @@ def cmd_compute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             f"solution: b={_fmt(state.b)} E_theta={_fmt(state.e_theta)} "
             f"lambda={_fmt(state.lam)} beta={_fmt(state.beta)}",
         ]
-        # Closed forms assume the cosine angular convention; under the
-        # numeric angular profile the oracle routes carry the measures.
-        cosine = state.mode is AngularMode.PAPER_COSINE
-
-        def moment(q: int) -> float:
-            return wq_closed(params, state, q).Wq if cosine else wq_numeric(params, state, q)
-
-        for name in measures:
-            if name == "fisher":
-                f = fisher_closed(params, state) if cosine else fisher_numeric(params, state)
-                route = "closed form" if cosine else "quadrature"
-                lines.append(
-                    f"fisher: I={_fmt(f.I)} (radial I1={_fmt(f.I1)}, "
-                    f"angular I2={_fmt(f.I2)}; {route})"
-                )
-            elif name == "shannon":
-                s_num = shannon_numeric(params, state)
-                s = shannon_closed(params, state)
-                lines.append(f"shannon: S={_fmt(s_num)} (quadrature)")
-                lines.append(
-                    f"shannon closed form (asymptotic): S={_fmt(s.S)} "
-                    f"[S1={_fmt(s.S1)} S2={_fmt(s.S2)} S3={_fmt(s.S3)} S4={_fmt(s.S4)}]"
-                )
-            elif name == "tsallis":
-                w = moment(args.q)
-                lines.append(
-                    f"tsallis: T_{args.q}={_fmt((1.0 - w) / (args.q - 1.0))} "
-                    f"(W_{args.q}={_fmt(w)})"
-                )
-            elif name == "renyi":
-                w = moment(args.q)
-                lines.append(
-                    f"renyi: R_{args.q}={_fmt(math.log(w) / (1.0 - args.q))} "
-                    f"(W_{args.q}={_fmt(w)})"
-                )
-            elif name == "wq":
-                lines.append(f"entropic moment: W_{args.q}={_fmt(moment(args.q))}")
-            elif name == "energy":
-                lines.append(
-                    f"energy: E={_fmt(state.energy)} E_total={_fmt(state.energy_total)}"
-                )
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
-    if caught:
-        lines.append(f"flags: {len(caught)} warning(s), see stderr")
+        if "shannon" in measures:  # the asymptotic closed form, shown alongside
+            s = shannon_closed(params, state)
+            values.update(S_closed=s.S, S1=s.S1, S2=s.S2, S3=s.S3, S4=s.S4)
+        fields = {key: _fmt(x) for key, x in values.items()}
+        lines += [COMPUTE_LINES[name].format(q=q, route=route, **fields)
+                  for name in measures]
+    reported = _report_warnings(caught)
+    if reported:
+        lines.append(f"flags: {reported} warning(s), see stderr")
     print("\n".join(lines))
     return 0
 
@@ -222,55 +259,29 @@ def cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     step = (args.stop - args.start) / (args.steps - 1)
     grid = [args.start + i * step for i in range(args.steps)]
-    mode = _mode_of(args)
-
-    def one(value: float, delta: float | None) -> tuple[float, float]:
-        De = value if args.var == "De" else args.De
-        Dm = value if args.var == "D" else args.D
-        dl = value if args.var == "delta" else delta
-        params = make_params(De=De, re=args.re, Dm=Dm, delta=dl,
-                             mu=1.0 if args.mu is None else args.mu)
-        state = solve_state(params, StateSpec(args.n, args.m),
-                            mode=mode, method=args.method)
-        # Same routing as compute: closed forms in the cosine convention,
-        # oracle quadrature under the numeric angular profile.
-        cosine = mode is AngularMode.PAPER_COSINE
-        if measure == "fisher":
-            out = (fisher_closed(params, state) if cosine
-                   else fisher_numeric(params, state)).I
-        elif measure == "shannon":
-            out = shannon_numeric(params, state)
-        elif measure == "tsallis":
-            out = (tsallis(params, state, args.q) if cosine
-                   else (1.0 - wq_numeric(params, state, args.q)) / (args.q - 1.0))
-        elif measure == "renyi":
-            out = (renyi(params, state, args.q) if cosine
-                   else math.log(wq_numeric(params, state, args.q)) / (1.0 - args.q))
-        elif measure == "wq":
-            out = wq_closed(params, state, args.q).Wq if cosine \
-                else wq_numeric(params, state, args.q)
-        else:
-            out = state.energy
-        return out, dl
+    mode = AngularMode(args.mode)
 
     rows = []
-    messages: dict[str, None] = {}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for value in grid:
             for delta in deltas:
-                result, dl = one(value, delta)
-                rows.append((args.var, value, result, dl, args.n, args.m))
-        for warning in caught:
-            messages.setdefault(str(warning.message))
-    for message in messages:
-        print(f"warning: {message}", file=sys.stderr)
+                De = value if args.var == "De" else args.De
+                Dm = value if args.var == "D" else args.D
+                dl = value if args.var == "delta" else delta
+                params = make_params(De=De, re=args.re, Dm=Dm, delta=dl,
+                                     mu=1.0 if args.mu is None else args.mu)
+                state = solve_state(params, StateSpec(args.n, args.m),
+                                    mode=mode, method=args.method)
+                _, values = evaluate(params, state, measures, args.q)
+                rows.append((value, values[SYMBOLS[measure]], dl))
+    _report_warnings(caught)
 
     with _open_output(args.output) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["var", "value", "measure", "delta", "n", "m"])
-        for var, value, result, dl, n, m in rows:
-            writer.writerow([var, _fmt(value), _fmt(result), _fmt(dl), n, m])
+        for value, result, dl in rows:
+            writer.writerow([args.var, _fmt(value), _fmt(result), _fmt(dl), args.n, args.m])
     return 0
 
 
@@ -282,49 +293,29 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.q < 2:
         parser.error("--q must be an integer >= 2 for the closed-form entropies")
 
-    params_map: dict[str, SystemParams] = {}
-    mass_notes = []
-    for name, preset in presets.items():
-        if args.units == "raw":
-            params_map[name] = molecules.raw_number_params(
-                preset, Dm=args.D, delta=args.delta
-            )
-            mass_notes.append(f"{name}: mu=1 (raw)")
-        else:
-            params_map[name] = molecules.to_atomic_units(
-                preset, Dm=args.D, delta=args.delta, mu_convention=args.mu_convention
-            )
-            mass_notes.append(f"{name}: mu={_fmt(params_map[name].mu)}")
+    params_map = {name: _preset_params(preset, args) for name, preset in presets.items()}
+    mass_notes = [f"{name}: mu=1 (raw)" if args.units == "raw" else f"{name}: mu={_fmt(p.mu)}"
+                  for name, p in params_map.items()]
 
     n_values, m_values = (1, 2, 4, 6, 8), (0, 1, 2)
-    left = ("I", "S") if args.tables == 1 else ("T", "R")
-    header = ["n", "m"] + [f"{meas}({name})" for meas in left for name in names]
+    measures = ("fisher", "shannon") if args.tables == 1 else ("tsallis", "renyi")
+    header = ["n", "m"] + [f"{SYMBOLS[meas]}({name})" for meas in measures
+                           for name in names]
 
     body: list[list[str]] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for n in n_values:
             for m in m_values:
-                cells = []
-                for meas in left:
-                    for name in names:
-                        params = params_map[name]
-                        state = solve_state(params, StateSpec(n, m),
-                                            method=args.method)
-                        if meas == "I":
-                            value = fisher_closed(params, state).I
-                        elif meas == "S":
-                            value = shannon_numeric(params, state)
-                        elif meas == "T":
-                            value = tsallis(params, state, args.q)
-                        else:
-                            value = renyi(params, state, args.q)
-                        cells.append(value)
+                values = {}
+                for name, params in params_map.items():
+                    state = solve_state(params, StateSpec(n, m), method=args.method)
+                    _, values[name] = evaluate(params, state, measures, args.q)
+                cells = [values[name][SYMBOLS[meas]] for meas in measures for name in names]
                 body.append([str(n), str(m)] + [
                     (_fmt(v) if args.format == "csv" else "%.6g" % v) for v in cells
                 ])
-    for message in {str(w.message) for w in caught}:
-        print(f"warning: {message}", file=sys.stderr)
+    _report_warnings(caught)
 
     units_note = (
         "raw-numbers interpretation (tabulated De/re used as atomic-unit values)"

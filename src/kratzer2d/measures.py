@@ -64,7 +64,7 @@ class ShannonResult:
 class EntropicMoment:
     """Entropic moment W_q = integral of rho^q, with its log for precision."""
 
-    q: int
+    q: float
     Wq: float
     log_Wq: float
 
@@ -151,15 +151,15 @@ def wq_closed(params: SystemParams, solved: SolvedState, q: int) -> EntropicMome
     return EntropicMoment(q, math.exp(log_wq) if log_wq < 700.0 else math.inf, log_wq)
 
 
-def tsallis(params: SystemParams, solved: SolvedState, q: int) -> float:
-    """Tsallis entropy (1 - W_q) / (q - 1) for integer q >= 2."""
-    if q < 2 or q != int(q):
-        raise ValueError(f"tsallis requires integer q >= 2, got {q}")
-    return (1.0 - wq_closed(params, solved, q).Wq) / (q - 1.0)
+def tsallis(moment: EntropicMoment) -> float:
+    """Tsallis entropy T_q = (1 - W_q) / (q - 1) of an entropic moment, q != 1."""
+    if moment.q == 1:
+        raise ValueError("tsallis requires an order q != 1 (its q -> 1 limit is Shannon's)")
+    return (1.0 - moment.Wq) / (moment.q - 1.0)
 
 
-def renyi(params: SystemParams, solved: SolvedState, q: int) -> float:
-    """Renyi entropy ln(W_q) / (1 - q) for integer q >= 2."""
-    if q < 2 or q != int(q):
-        raise ValueError(f"renyi requires integer q >= 2, got {q}")
-    return wq_closed(params, solved, q).log_Wq / (1.0 - q)
+def renyi(moment: EntropicMoment) -> float:
+    """Renyi entropy R_q = ln(W_q) / (1 - q) of an entropic moment, q != 1."""
+    if moment.q == 1:
+        raise ValueError("renyi requires an order q != 1 (its q -> 1 limit is Shannon's)")
+    return moment.log_Wq / (1.0 - moment.q)

@@ -94,11 +94,14 @@ class RadialGrid:
         return self.spacing() * np.arange(1, self.points + 1)
 
 
-def _laguerre_jacobi(alpha: float, K: int) -> tuple[np.ndarray, np.ndarray]:
-    i = np.arange(K, dtype=float)
+def _laguerre_roots(n: int, alpha: float) -> np.ndarray:
+    """Zeros of L_n^(alpha): the eigenvalues of its Jacobi matrix."""
+    if n == 0:
+        return np.array([])
+    i = np.arange(n, dtype=float)
     diag = 2.0 * i + alpha + 1.0
-    off = np.sqrt((i[1:]) * (i[1:] + alpha))
-    return diag, off
+    off = np.sqrt(i[1:] * (i[1:] + alpha))
+    return eigh_tridiagonal(diag, off, eigvals_only=True)
 
 
 def _log_abs_monic_laguerre(K: int, alpha: float, x: np.ndarray) -> np.ndarray:
@@ -135,8 +138,7 @@ def _scaled_gauss_laguerre(alpha: float, K: int) -> tuple[np.ndarray, np.ndarray
     [L_{K+1}^(alpha)(x_i)]^2) (Golub & Welsch 1969; DLMF 3.5(v)), taken
     in log space and normalised to unit mass, which absorbs the constant.
     """
-    diag, off = _laguerre_jacobi(alpha, K)
-    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+    nodes = _laguerre_roots(K, alpha)
     log_w = np.log(nodes) - 2.0 * _log_abs_monic_laguerre(K + 1, alpha, nodes)
     weights = np.exp(log_w - np.max(log_w))
     return nodes, weights / weights.sum(), math.lgamma(alpha + 1.0)
@@ -251,13 +253,6 @@ def fisher_numeric(
     if drift > 1e-10 * max(abs(total), 1.0):
         raise AccuracyError("Fisher quadrature did not settle", drift / abs(total))
     return FisherResult(total, i1, i2, solved.mode)
-
-
-def _laguerre_roots(n: int, alpha: float) -> np.ndarray:
-    if n == 0:
-        return np.array([])
-    diag, off = _laguerre_jacobi(alpha, n)
-    return eigh_tridiagonal(diag, off, eigvals_only=True)
 
 
 def shannon_numeric(

@@ -30,10 +30,8 @@ __all__ = [
     "CancellationWarning",
     "log_gamma",
     "digamma",
-    "pochhammer",
     "double_factorial",
     "laguerre",
-    "laguerre_orthonormal",
     "MathieuEvenSolution",
     "mathieu_char_series",
     "mathieu_char_matrix",
@@ -132,16 +130,6 @@ def digamma(x: float) -> float:
     return acc + math.log(y) - 0.5 / y - tail
 
 
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), exact for integer-zero hits."""
-    if k < 0 or k != int(k):
-        raise ValueError(f"pochhammer requires integer k >= 0, got {k}")
-    out = 1.0
-    for i in range(int(k)):
-        out *= a + i
-    return out
-
-
 def double_factorial(k: int) -> int:
     """k!! for odd positive k, as an exact integer."""
     if k < 1 or k % 2 != 1:
@@ -171,17 +159,6 @@ def laguerre(n: int, alpha: float, x):
     for k in range(1, n):
         prev, cur = cur, ((2.0 * k + 1.0 + alpha - xa) * cur - (k + alpha) * prev) / (k + 1.0)
     return float(cur) if np.isscalar(x) else cur
-
-
-def laguerre_orthonormal(n: int, alpha: float, x):
-    """L_n^(alpha) scaled by sqrt(n! / Gamma(alpha+n+1)).
-
-    Orthonormal against the weight x^alpha e^-x.  The scale factor
-    underflows for very large alpha; callers needing those regimes
-    should stay in log space.
-    """
-    scale = math.exp(0.5 * (log_gamma(n + 1.0) - log_gamma(alpha + n + 1.0)))
-    return scale * laguerre(n, alpha, x)
 
 
 _SINGULAR_ORDERS = (0.5, 1.0, 1.5)

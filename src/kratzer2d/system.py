@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .specfun import (
-    SeriesSingularError,
     log_gamma,
     laguerre,
     mathieu_char_series,
@@ -34,12 +33,8 @@ __all__ = [
     "make_params",
     "mathieu_coupling",
     "angular_eigenvalue",
-    "lambda_param",
     "beta_param",
     "solve_state",
-    "energy",
-    "energy_total",
-    "normalization",
     "angular_profile",
     "angular_function",
     "density",
@@ -163,18 +158,13 @@ def angular_eigenvalue(params: SystemParams, m: int, method: str = "series") -> 
     return params.delta**2 - a / 4.0
 
 
-def lambda_param(params: SystemParams, m: int, method: str = "series") -> float:
+def _lambda_from_angular(params: SystemParams, e_theta: float) -> float:
     """Radial exponent lambda = 1/2 + sqrt(-E_theta + 2 mu B + delta^2).
 
     Raises UnboundAngularError when the radicand is non-positive, i.e.
     when the angular eigenvalue overwhelms the centrifugal barrier and
     the inverse-square attraction has no bound branch.
     """
-    e_theta = angular_eigenvalue(params, m, method)
-    return _lambda_from_angular(params, e_theta)
-
-
-def _lambda_from_angular(params: SystemParams, e_theta: float) -> float:
     radicand = -e_theta + 2.0 * params.mu * params.B + params.delta**2
     if radicand <= 0.0:
         raise UnboundAngularError(
@@ -217,16 +207,6 @@ def solve_state(
     )
 
 
-def energy(params: SystemParams, solved: SolvedState) -> float:
-    """Bound-state energy -mu A^2 / (2 (n_r + lambda)^2), well offset excluded."""
-    return -solved.beta**2 / (2.0 * params.mu)
-
-
-def energy_total(params: SystemParams, solved: SolvedState) -> float:
-    """Bound-state energy measured from the dissociation limit convention, E + C."""
-    return energy(params, solved) + params.C
-
-
 def _log_norm_sq(n: int, lam: float, beta: float) -> float:
     """ln N^2 with N^2 = 2 beta^2 n! / (Gamma(n + 2 lam) (n + lam) pi)."""
     return (
@@ -237,11 +217,6 @@ def _log_norm_sq(n: int, lam: float, beta: float) -> float:
         - math.log(n + lam)
         - math.log(math.pi)
     )
-
-
-def normalization(solved: SolvedState) -> float:
-    """Radial normalisation constant N (1/bohr) of the solved state."""
-    return solved.norm
 
 
 class _CosineProfile:

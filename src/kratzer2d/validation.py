@@ -15,13 +15,20 @@ from __future__ import annotations
 import math
 import traceback
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from . import molecules
-from .measures import fisher_closed, renyi, shannon_closed, tsallis, wq_closed
+from .measures import (
+    EntropicMoment,
+    fisher_closed,
+    renyi,
+    shannon_closed,
+    tsallis,
+    wq_closed,
+)
 from .oracle import (
     density_norm_numeric,
     fisher_numeric,
@@ -221,11 +228,12 @@ def check_spectrum() -> CheckResult:
 
 def _measures_at(params: SystemParams, spec: StateSpec) -> tuple[float, float, float, float]:
     state, _ = _solve(params, spec)
+    moment = wq_closed(params, state, 2)
     return (
         fisher_closed(params, state).I,
         shannon_numeric(params, state),
-        tsallis(params, state, 2),
-        renyi(params, state, 2),
+        tsallis(moment),
+        renyi(moment),
     )
 
 
@@ -310,7 +318,7 @@ def check_renyi_limit() -> CheckResult:
     params = make_params(De=1.0, re=1.0, mu=1.0)
     state, _ = _solve(params, StateSpec(0, 0))
     w = wq_numeric(params, state, 1.01)
-    r_near_one = math.log(w) / (1.0 - 1.01)
+    r_near_one = renyi(EntropicMoment(1.01, w, math.log(w)))
     s = shannon_numeric(params, state)
     dev = abs(r_near_one - s)
     return CheckResult(
@@ -378,28 +386,27 @@ def computed_table(
     """Measures for the reference-table states: closed Fisher/Tsallis/Renyi
     and numerical Shannon (the reference Shannon values follow the exact
     integral, not the asymptotic closed form)."""
-    out: dict[tuple[int, int], dict[str, dict[str, float]]] = {}
-    cache: dict[tuple[str, tuple[int, int]], tuple[float, float, SolvedState]] = {}
+    return _computed_tables(params_by_molecule, (q,))[q]
+
+
+def _computed_tables(
+    params_by_molecule: Mapping[str, SystemParams], q_values: Iterable[int]
+) -> dict[int, dict[tuple[int, int], dict[str, dict[str, float]]]]:
+    """computed_table at each order q.  Each state is solved, and its Fisher
+    and Shannon values computed, once for all orders; Tsallis and Renyi
+    share one W_q per state and order."""
+    tables: dict[int, dict[tuple[int, int], dict[str, dict[str, float]]]] = {
+        q: {} for q in q_values}
     for (n, m) in TABLE_ROWS:
-        row: dict[str, dict[str, float]] = {}
+        for table in tables.values():
+            table[(n, m)] = {}
         for name, params in params_by_molecule.items():
-            key = (name, (n, m))
-            if key not in cache:
-                state, _ = _solve(params, StateSpec(n, m))
-                cache[key] = (
-                    fisher_closed(params, state).I,
-                    shannon_numeric(params, state),
-                    state,
-                )
-            I, S, state = cache[key]
-            row[name] = {
-                "I": I,
-                "S": S,
-                "T": tsallis(params, state, q),
-                "R": renyi(params, state, q),
-            }
-        out[(n, m)] = row
-    return out
+            state, _ = _solve(params, StateSpec(n, m))
+            I, S = fisher_closed(params, state).I, shannon_numeric(params, state)
+            for q, table in tables.items():
+                moment = wq_closed(params, state, q)
+                table[(n, m)][name] = {"I": I, "S": S, "T": tsallis(moment), "R": renyi(moment)}
+    return tables
 
 
 def _table_configurations() -> list[tuple[str, Callable[[molecules.MoleculePreset], SystemParams]]]:
@@ -425,28 +432,31 @@ class TableScanEntry:
     q: int
     max_rel_dev: float | None
     note: str = ""
+    table: dict | None = field(default=None, repr=False, compare=False)
 
 
 def table_scan(q_values: tuple[int, ...] = (2, 3, 4, 5)) -> list[TableScanEntry]:
     """Deviation of each unit-interpretation configuration from the
-    published table values, scanned over the entropy order q."""
+    published table values, scanned over the entropy order q; each
+    entry keeps the table it scored."""
     presets = molecules.load_presets()
     entries: list[TableScanEntry] = []
     for label, build in _table_configurations():
         try:
             params_map = {name: build(presets[name]) for name in TABLE_MOLECULES}
-            for q in q_values:
-                table = computed_table(params_map, q)
-                dev = 0.0
-                for key, row in table.items():
-                    for mol, ours in row.items():
-                        ref = REFERENCE_MEASURES[key][mol]
-                        for measure in ("I", "S", "T", "R"):
-                            dev = max(dev, abs(ours[measure] - ref[measure]) / abs(ref[measure]))
-                entries.append(TableScanEntry(label, q, dev))
+            tables = _computed_tables(params_map, q_values)
         except (UnboundAngularError, SeriesSingularError) as exc:
             for q in q_values:
                 entries.append(TableScanEntry(label, q, None, f"no bound state ({exc})"))
+            continue
+        for q, table in tables.items():
+            dev = 0.0
+            for key, row in table.items():
+                for mol, ours in row.items():
+                    ref = REFERENCE_MEASURES[key][mol]
+                    for measure in ("I", "S", "T", "R"):
+                        dev = max(dev, abs(ours[measure] - ref[measure]) / abs(ref[measure]))
+            entries.append(TableScanEntry(label, q, dev, table=table))
     return entries
 
 
@@ -483,12 +493,7 @@ def check_table_patterns() -> CheckResult:
     best = min(usable, key=lambda e: e.max_rel_dev)
     converted = [e for e in usable if e.label.startswith("converted")]
     converted_best = min(converted, key=lambda e: e.max_rel_dev) if converted else None
-    presets = molecules.load_presets()
-    build = dict(_table_configurations())[best.label]
-    table = computed_table(
-        {name: build(presets[name]) for name in TABLE_MOLECULES}, best.q
-    )
-    violations = ordering_violations(table)
+    violations = ordering_violations(best.table)
     parts = [f"closest config {best.label} (q={best.q}) max dev {best.max_rel_dev:.1%}"]
     if converted_best is None or converted_best.max_rel_dev > 0.10:
         conv_txt = (

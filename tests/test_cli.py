@@ -1,16 +1,19 @@
 """Command-line interface: golden outputs, routing, exit codes.
 
 Most tests drive main(argv) in process and capture the streams; the
-byte-stability test goes through a real subprocess since reproducible
-CSV output is part of the interface contract.
+byte-stability and warning-order tests go through real subprocesses
+since reproducible output is part of the interface contract.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import kratzer2d.cli
+import kratzer2d.measures
 from kratzer2d import AccuracyError
 from kratzer2d.cli import main
 from kratzer2d.validation import VALIDATE_CHECKS
@@ -234,3 +237,69 @@ def test_sweep_output_is_byte_stable():
     second = subprocess.run(argv, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"var,value,measure,delta,n,m\n")
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_compute_evaluates_the_entropic_moment_once(monkeypatch, capsys):
+    # Tsallis, Renyi and W_q all come from one W_q, in either route.
+    closed = _counting(monkeypatch, kratzer2d.measures, "log_gamma0")
+    code = main(["compute", "--De", "1", "--re", "1", "--n", "2", "--m", "1",
+                 "--measure", "tsallis,renyi,wq", "--q", "3"])
+    assert code == 0
+    assert len(closed) == 1
+    numeric = _counting(monkeypatch, kratzer2d.cli, "wq_numeric")
+    code = main(["compute", "--De", "3", "--re", "1", "--D", "0.1", "--delta", "0.2",
+                 "--n", "1", "--m", "1", "--mode", "mathieu", "--method", "matrix",
+                 "--measure", "tsallis,renyi,wq", "--q", "3"])
+    assert code == 0
+    assert len(numeric) == 1
+    capsys.readouterr()
+
+
+def test_sweep_mathieu_tsallis_matches_compute(capsys):
+    state = ["--re", "1", "--D", "0.1", "--n", "1", "--m", "1",
+             "--mode", "mathieu", "--method", "matrix", "--measure", "tsallis"]
+    code = main(["sweep", "--var", "De", "--from", "2", "--to", "3", "--steps", "3",
+                 "--deltas", "0.2", "--q", "3"] + state)
+    assert code == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[1] for row in rows] == ["2", "2.5", "3"]
+    for row in rows:
+        code = main(["compute", "--De", row[1], "--delta", "0.2", "--q", "3"] + state)
+        assert code == 0
+        assert f"tsallis: T_3={row[2]} (W_3=" in capsys.readouterr().out
+
+
+def test_compute_flags_count_the_printed_warnings(capsys):
+    # A ValidityWarning from the series and a CancellationWarning from
+    # gamma0, each printed once however often it was raised.
+    code = main(["compute", "--De", "1", "--re", "1", "--D", "0.3", "--delta", "0.2",
+                 "--n", "10", "--m", "1", "--q", "4", "--measure", "fisher,tsallis,renyi"])
+    assert code == 0
+    captured = capsys.readouterr()
+    printed = captured.err.splitlines()
+    assert len(printed) == len(set(printed)) == 2
+    assert all(line.startswith("warning: ") for line in printed)
+    assert captured.out.splitlines()[-1] == "flags: 2 warning(s), see stderr"
+
+
+def test_table_warnings_do_not_depend_on_hash_seed():
+    argv = [sys.executable, "-m", "kratzer2d.cli", "table", "--tables", "2",
+            "--format", "csv"]
+    errs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        errs.append(subprocess.run(argv, capture_output=True, check=True, env=env).stderr)
+    assert len(errs[0].splitlines()) >= 2
+    assert errs[0] == errs[1]

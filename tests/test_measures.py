@@ -33,7 +33,7 @@ def test_fisher_closed_standard(std_params, std_state):
     # Ground state: I = 2 beta^2 / lambda exactly, no angular share.
     result = fisher_closed(std_params, std_state)
     assert result.I == pytest.approx(
-        2.0 * std_state.beta**2 / std_state.lam, rel=1e-14
+        2.0 * std_state.beta**2 / std_state.lam, rel=1e-14, abs=0
     )
     assert result.I == pytest.approx(1.1405617954, rel=1e-9)
     assert result.I2 == 0.0
@@ -54,7 +54,7 @@ def test_fisher_radial_identity():
     for n in range(5):
         s = solve_state(p, StateSpec(n, 1))
         alt = 4.0 * s.beta**2 - 2.0 * s.beta**2 * (2.0 * s.lam - 1.0) / (n + s.lam)
-        assert fisher_closed(p, s).I1 == pytest.approx(alt, rel=1e-14)
+        assert fisher_closed(p, s).I1 == pytest.approx(alt, rel=1e-14, abs=0)
 
 
 def test_fisher_angular_identity():
@@ -64,7 +64,7 @@ def test_fisher_angular_identity():
         s = solve_state(p, StateSpec(n, m))
         i2 = fisher_closed(p, s).I2
         assert i2 * (n + s.lam) * (2.0 * s.lam - 1.0) == pytest.approx(
-            8.0 * m * m * s.beta**2, rel=1e-13
+            8.0 * m * m * s.beta**2, rel=1e-13, abs=0
         )
 
 
@@ -99,7 +99,7 @@ def test_fisher_closed_equals_quadrature_with_dipole(dipole_params, dipole_state
 
 def test_shannon_closed_standard(std_params, std_state):
     result = shannon_closed(std_params, std_state)
-    assert result.S1 == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-14)
+    assert result.S1 == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-14, abs=0)
     assert result.S1 == pytest.approx(0.3862943611, rel=1e-9)
     assert result.S2 == pytest.approx(1.0132089419, rel=1e-9)
     assert result.S3 == pytest.approx(0.6779706082, rel=1e-9)
@@ -122,7 +122,7 @@ def test_shannon_s2_is_normalization_log(std_params):
     for n in (0, 3):
         s = solve_state(std_params, StateSpec(n, 1))
         expected = -math.log(2.0 * s.beta**2 / ((n + s.lam) * math.pi))
-        assert shannon_closed(std_params, s).S2 == pytest.approx(expected, rel=1e-13)
+        assert shannon_closed(std_params, s).S2 == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 def test_shannon_closed_vs_numeric_gap_is_large(std_params, std_state):
@@ -152,13 +152,13 @@ def test_wq_closed_frozen(std_params, std_state, dipole_params, dipole_state):
         4.704733036613e-03, rel=1e-9
     )
     assert wq_closed(dipole_params, dipole_state, 3).Wq == pytest.approx(
-        2.986801838031e-05, rel=1e-9
+        2.986801838031e-05, rel=1e-9, abs=0
     )
 
 
 def test_wq_closed_log_consistency(dipole_params, dipole_state):
     moment = wq_closed(dipole_params, dipole_state, 3)
-    assert math.exp(moment.log_Wq) == pytest.approx(moment.Wq, rel=1e-14)
+    assert math.exp(moment.log_Wq) == pytest.approx(moment.Wq, rel=1e-14, abs=0)
     assert moment.q == 3
 
 
@@ -173,7 +173,7 @@ def test_wq_closed_euler_integral_nodeless():
         * math.exp(math.lgamma(4.0 * lam) - 2.0 * math.lgamma(2.0 * lam))
         / (4.0 * math.pi * lam * lam * 2.0 ** (4.0 * lam))
     )
-    assert wq_closed(p, state, 2).Wq == pytest.approx(expected, rel=1e-12)
+    assert wq_closed(p, state, 2).Wq == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_wq_closed_equals_quadrature_m_ge_1():
@@ -185,7 +185,7 @@ def test_wq_closed_equals_quadrature_m_ge_1():
                 for q in (2, 3):
                     closed = wq_closed(p, state, q).Wq
                     numeric = wq_numeric(p, state, float(q))
-                    assert closed == pytest.approx(numeric, rel=1e-10)
+                    assert closed == pytest.approx(numeric, rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("q,ratio", [(2, 1.5), (3, 2.5)])
@@ -207,16 +207,24 @@ def test_wq_closed_rejects_bad_q(std_params, std_state):
 
 
 def test_tsallis_renyi_frozen(std_params, std_state, dipole_params, dipole_state):
-    assert tsallis(std_params, std_state, 2) == pytest.approx(0.962000779628, rel=1e-9)
-    assert renyi(std_params, std_state, 2) == pytest.approx(3.2701896360, rel=1e-9)
-    assert tsallis(dipole_params, dipole_state, 2) == pytest.approx(
+    assert tsallis(wq_closed(std_params, std_state, 2)) == pytest.approx(
+        0.962000779628, rel=1e-9
+    )
+    assert renyi(wq_closed(std_params, std_state, 2)) == pytest.approx(
+        3.2701896360, rel=1e-9
+    )
+    assert tsallis(wq_closed(dipole_params, dipole_state, 2)) == pytest.approx(
         0.995295266963, rel=1e-9
     )
-    assert renyi(dipole_params, dipole_state, 2) == pytest.approx(5.3591862479, rel=1e-9)
-    assert tsallis(dipole_params, dipole_state, 3) == pytest.approx(
+    assert renyi(wq_closed(dipole_params, dipole_state, 2)) == pytest.approx(
+        5.3591862479, rel=1e-9
+    )
+    assert tsallis(wq_closed(dipole_params, dipole_state, 3)) == pytest.approx(
         0.499985065991, rel=1e-9
     )
-    assert renyi(dipole_params, dipole_state, 3) == pytest.approx(5.2093611347, rel=1e-9)
+    assert renyi(wq_closed(dipole_params, dipole_state, 3)) == pytest.approx(
+        5.2093611347, rel=1e-9
+    )
 
 
 def test_tsallis_consistency_identity(dipole_params, dipole_state):
@@ -224,30 +232,30 @@ def test_tsallis_consistency_identity(dipole_params, dipole_state):
     # whenever 0 < W_q < 1.
     for q in (2, 3, 4):
         w = wq_closed(dipole_params, dipole_state, q).Wq
-        t = tsallis(dipole_params, dipole_state, q)
-        assert t * (q - 1.0) + w == pytest.approx(1.0, rel=1e-14)
+        t = tsallis(wq_closed(dipole_params, dipole_state, q))
+        assert t * (q - 1.0) + w == pytest.approx(1.0, rel=1e-14, abs=0)
         assert 0.0 < w < 1.0
         assert 0.0 < t < 1.0 / (q - 1.0)
 
 
 def test_renyi_is_log_moment(dipole_params, dipole_state):
     w2 = wq_closed(dipole_params, dipole_state, 2).Wq
-    assert renyi(dipole_params, dipole_state, 2) == pytest.approx(
-        -math.log(w2), rel=1e-13
+    assert renyi(wq_closed(dipole_params, dipole_state, 2)) == pytest.approx(
+        -math.log(w2), rel=1e-13, abs=0
     )
 
 
 def test_renyi_nonincreasing_in_q(dipole_params, dipole_state):
-    values = [renyi(dipole_params, dipole_state, q) for q in (2, 3, 4)]
+    values = [renyi(wq_closed(dipole_params, dipole_state, q)) for q in (2, 3, 4)]
     assert values[0] >= values[1] >= values[2]
 
 
 def test_tsallis_renyi_reject_q_below_2(std_params, std_state):
     for q in (0, 1):
         with pytest.raises(ValueError):
-            tsallis(std_params, std_state, q)
+            tsallis(wq_closed(std_params, std_state, q))
         with pytest.raises(ValueError):
-            renyi(std_params, std_state, q)
+            renyi(wq_closed(std_params, std_state, q))
 
 
 # ---------------------------------------------------------------- trends

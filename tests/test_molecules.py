@@ -42,10 +42,10 @@ def test_builtin_preset_fields():
     assert cs2.De_eV == 0.4524686595
     assert cs2.re_angstrom == 4.648
     # Homonuclear reduced mass is half the atomic mass.
-    assert cs2.mu_amu == pytest.approx(ATOMIC_MASS_CS133 / 2.0, rel=1e-14)
+    assert cs2.mu_amu == pytest.approx(ATOMIC_MASS_CS133 / 2.0, rel=1e-14, abs=0)
     # Heteronuclear: m1 m2 / (m1 + m2).
     expected = ATOMIC_MASS_SI28 * ATOMIC_MASS_SN120 / (ATOMIC_MASS_SI28 + ATOMIC_MASS_SN120)
-    assert sisn.mu_amu == pytest.approx(expected, rel=1e-14)
+    assert sisn.mu_amu == pytest.approx(expected, rel=1e-14, abs=0)
     assert sisn.mu_amu == pytest.approx(22.6840334263, rel=1e-10)
 
 
@@ -61,7 +61,7 @@ def test_get_preset_unknown_name():
 
 def test_to_atomic_units_sisn():
     params = to_atomic_units(get_preset("SiSn"))
-    assert params.De == pytest.approx(0.0971271958412, rel=1e-11)
+    assert params.De == pytest.approx(0.0971271958412, rel=1e-11, abs=0)
     assert params.re == pytest.approx(4.7507714773, rel=1e-10)
     assert params.mu == pytest.approx(41350.4633537, rel=1e-10)
     assert params.Dm == 0.0
@@ -83,7 +83,7 @@ def test_to_atomic_units_passes_dipole_and_flux():
 def test_mu_conventions():
     sisn = get_preset("SiSn")
     assert to_atomic_units(sisn, mu_convention="amu").mu == pytest.approx(
-        sisn.mu_amu, rel=1e-14
+        sisn.mu_amu, rel=1e-14, abs=0
     )
     assert to_atomic_units(sisn, mu_convention="one").mu == 1.0
     assert to_atomic_units(sisn, mu_convention="nist").mu == pytest.approx(
@@ -105,7 +105,7 @@ def test_raw_number_params_passthrough():
 def test_conversion_round_trip():
     for preset in list_presets():
         params = to_atomic_units(preset)
-        assert params.De / HARTREE_PER_EV == pytest.approx(preset.De_eV, rel=1e-12)
+        assert params.De / HARTREE_PER_EV == pytest.approx(preset.De_eV, rel=1e-12, abs=0)
         assert params.re * BOHR_RADIUS_ANGSTROM == pytest.approx(
             preset.re_angstrom, rel=1e-12
         )

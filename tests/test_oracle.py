@@ -35,18 +35,18 @@ from kratzer2d.oracle import RadialGrid
 
 def test_rule_one_point():
     rule = gauss_laguerre_rule(0.7, 1)
-    assert rule.nodes[0] == pytest.approx(1.7, rel=1e-13)
-    assert rule.weights[0] == pytest.approx(math.gamma(1.7), rel=1e-13)
+    assert rule.nodes[0] == pytest.approx(1.7, rel=1e-13, abs=0)
+    assert rule.weights[0] == pytest.approx(math.gamma(1.7), rel=1e-13, abs=0)
 
 
 def test_rule_two_point_alpha_zero():
     # Roots of L_2(x) = (x^2 - 4x + 2)/2 and the classical weights.
     rule = gauss_laguerre_rule(0.0, 2)
     assert rule.nodes == pytest.approx(
-        [2.0 - math.sqrt(2.0), 2.0 + math.sqrt(2.0)], rel=1e-13
+        [2.0 - math.sqrt(2.0), 2.0 + math.sqrt(2.0)], rel=1e-13, abs=0
     )
     assert rule.weights == pytest.approx(
-        [(2.0 + math.sqrt(2.0)) / 4.0, (2.0 - math.sqrt(2.0)) / 4.0], rel=1e-13
+        [(2.0 + math.sqrt(2.0)) / 4.0, (2.0 - math.sqrt(2.0)) / 4.0], rel=1e-13, abs=0
     )
 
 
@@ -69,8 +69,8 @@ def test_rule_frozen_first_moments():
 def test_rule_matches_scipy():
     nodes_ref, weights_ref = sps.roots_genlaguerre(8, 1.5)
     rule = gauss_laguerre_rule(1.5, 8)
-    assert np.allclose(rule.nodes, nodes_ref, rtol=1e-12)
-    assert np.allclose(rule.weights, weights_ref, rtol=1e-11)
+    assert np.allclose(rule.nodes, nodes_ref, rtol=1e-12, atol=0)
+    assert np.allclose(rule.weights, weights_ref, rtol=1e-11, atol=0)
 
 
 def _mp_laguerre(n, alpha, x):
@@ -347,7 +347,7 @@ def test_fd_rejects_bad_count(std_params):
 
 def test_radial_grid_geometry():
     grid = RadialGrid(10.0, 99)
-    assert grid.spacing() == pytest.approx(0.1, rel=1e-15)
+    assert grid.spacing() == pytest.approx(0.1, rel=1e-15, abs=0)
     radii = grid.radii()
     assert radii.shape == (99,)
     assert radii[0] == pytest.approx(0.1) and radii[-1] == pytest.approx(9.9)

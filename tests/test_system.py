@@ -6,11 +6,14 @@ and are pinned here at full precision so any drift in the chain
 E_theta -> lambda -> beta -> E -> N is caught immediately.
 """
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import kratzer2d
 from kratzer2d import (
     AngularMode,
     StateSpec,
@@ -18,10 +21,7 @@ from kratzer2d import (
     angular_eigenvalue,
     angular_function,
     density,
-    energy,
-    energy_total,
     make_params,
-    normalization,
     solve_state,
 )
 from kratzer2d.system import mathieu_coupling
@@ -54,7 +54,7 @@ def test_expanded_well_coefficients():
 
 
 def test_mathieu_coupling_value(dipole_params):
-    assert mathieu_coupling(dipole_params) == pytest.approx(0.4, rel=1e-15)
+    assert mathieu_coupling(dipole_params) == pytest.approx(0.4, rel=1e-15, abs=0)
 
 
 # -------------------------------------------------------- angular eigenvalue
@@ -99,8 +99,8 @@ def test_standard_state_chain(std_params, std_state):
     # eigensolver to 3e-9 relative.
     assert std_state.b == 0.0
     assert std_state.e_theta == pytest.approx(0.0, abs=1e-15)
-    assert std_state.lam == pytest.approx(0.5 + math.sqrt(2.0), rel=1e-14)
-    assert std_state.beta == pytest.approx(2.0 / (0.5 + math.sqrt(2.0)), rel=1e-14)
+    assert std_state.lam == pytest.approx(0.5 + math.sqrt(2.0), rel=1e-14, abs=0)
+    assert std_state.beta == pytest.approx(2.0 / (0.5 + math.sqrt(2.0)), rel=1e-14, abs=0)
     assert std_state.beta == pytest.approx(1.0448154999, rel=1e-9)
     assert std_state.energy == pytest.approx(-0.5458197144, rel=1e-9)
     assert std_state.energy_total == pytest.approx(0.4541802856, rel=1e-9)
@@ -113,7 +113,7 @@ def test_dipole_state_chain(dipole_params, dipole_state):
     # includes the +delta^2 of the radial radicand; the whole chain is
     # pinned independently by the finite-difference spectrum (see
     # test_oracle.test_fd_pins_dipole_chain).
-    assert dipole_state.b == pytest.approx(0.4, rel=1e-15)
+    assert dipole_state.b == pytest.approx(0.4, rel=1e-15, abs=0)
     assert dipole_state.e_theta == pytest.approx(-4.8010895431, rel=1e-9)
     assert dipole_state.lam == pytest.approx(3.7925809850, rel=1e-9)
     assert dipole_state.beta == pytest.approx(1.0358077022, rel=1e-9)
@@ -127,7 +127,7 @@ def test_lambda_general_no_dipole():
         p = make_params(De=De, re=1.0, delta=delta, mu=mu)
         state = solve_state(p, StateSpec(0, m))
         expected = 0.5 + math.sqrt((m + delta) ** 2 + 2.0 * mu * p.B)
-        assert state.lam == pytest.approx(expected, rel=1e-13)
+        assert state.lam == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 def test_energy_scaling_with_quantum_number(std_params):
@@ -137,33 +137,25 @@ def test_energy_scaling_with_quantum_number(std_params):
     assert all(b > a for a, b in zip(energies, energies[1:]))
 
 
-def test_accessor_functions_match_fields(std_params, std_state):
-    assert energy(std_params, std_state) == pytest.approx(std_state.energy, rel=1e-15)
-    assert energy_total(std_params, std_state) == pytest.approx(
-        std_state.energy_total, rel=1e-15
-    )
-    assert normalization(std_state) == std_state.norm
-
-
 def test_norm_identities():
     # n = 0: N^2 = 2 beta^2 / (Gamma(2 lam) lam pi).
     p = make_params(De=1.0, re=1.0)
     s = solve_state(p, StateSpec(0, 0))
     expected = 2.0 * s.beta**2 / (math.gamma(2.0 * s.lam) * s.lam * math.pi)
-    assert math.exp(s.log_norm_sq) == pytest.approx(expected, rel=1e-13)
+    assert math.exp(s.log_norm_sq) == pytest.approx(expected, rel=1e-13, abs=0)
     # lambda = 1 (Gamma ratio collapses): N^2 = 2 beta^2 / ((n+1)^2 pi).
     p1 = make_params(De=0.125, re=1.0)  # 2 mu B = 1/4 -> lambda = 1
     for n in range(4):
         s = solve_state(p1, StateSpec(n, 0))
         assert s.lam == pytest.approx(1.0, abs=1e-14)
         expected = 2.0 * s.beta**2 / ((n + 1.0) ** 2 * math.pi)
-        assert math.exp(s.log_norm_sq) == pytest.approx(expected, rel=1e-13)
+        assert math.exp(s.log_norm_sq) == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 def test_series_and_matrix_methods_agree_without_dipole(std_params):
     a = solve_state(std_params, StateSpec(1, 1), method="series")
     b = solve_state(std_params, StateSpec(1, 1), method="matrix")
-    assert a.energy == pytest.approx(b.energy, rel=1e-12)
+    assert a.energy == pytest.approx(b.energy, rel=1e-12, abs=0)
     assert a.lam == pytest.approx(b.lam, rel=1e-12)
 
 
@@ -182,7 +174,7 @@ def test_cosine_profile_values(std_params):
     # m = 0 is the flat normalized branch, m >= 1 the plain cosine.
     for theta in (0.0, 0.9, 2.4):
         assert angular_function(std_params, 0, AngularMode.PAPER_COSINE, theta) == (
-            pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+            pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15, abs=0)
         )
     assert angular_function(std_params, 2, AngularMode.PAPER_COSINE, 0.0) == 1.0
     theta = np.linspace(0.0, 2.0 * math.pi, 7)
@@ -224,3 +216,21 @@ def test_density_vanishes_at_origin_limit(std_params, std_state):
     large = density(std_params, std_state, 60.0, 0.0)
     peak = density(std_params, std_state, 1.0, 0.0)
     assert small < 1e-15 and large < 1e-15 and peak > 1e-3
+
+
+# ----------------------------------------------------------------- exports
+
+
+def test_every_exported_name_resolves():
+    # A name left in __all__ after its function is deleted would break
+    # `from kratzer2d.<module> import *`.
+    modules = [kratzer2d] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.iter_modules(kratzer2d.__path__, "kratzer2d.")
+    ]
+    checked = 0
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ names {name}"
+            checked += 1
+    assert checked > 100
