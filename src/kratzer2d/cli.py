@@ -56,13 +56,16 @@ MEASURES = tuple(SYMBOLS)
 # compute's output for each measure, filled in from evaluate's values.
 COMPUTE_LINES = {
     "fisher": "fisher: I={I} (radial I1={I1}, angular I2={I2}; {route})",
-    "shannon": "shannon: S={S} (quadrature)\nshannon closed form (asymptotic): "
-               "S={S_closed} [S1={S1} S2={S2} S3={S3} S4={S4}]",
+    "shannon": "shannon: S={S} (quadrature)",
     "tsallis": "tsallis: T_{q}={T} (W_{q}={W})",
     "renyi": "renyi: R_{q}={R} (W_{q}={W})",
     "wq": "entropic moment: W_{q}={W}",
     "energy": "energy: E={E} E_total={E_total}",
 }
+# compute's line after Shannon's under the cosine profile, the convention
+# of the asymptotic closed form.
+SHANNON_CLOSED_LINE = ("shannon closed form (asymptotic): "
+                       "S={S_closed} [S1={S1} S2={S2} S3={S3} S4={S4}]")
 UNIT_CHOICES = ("raw", "converted")
 
 
@@ -157,6 +160,14 @@ def _parse_measures(parser: argparse.ArgumentParser, text: str) -> list[str]:
     return names
 
 
+def _check_q(parser: argparse.ArgumentParser, measures: list[str], q: int) -> None:
+    """Refuse an entropy order that the requested measures cannot take."""
+    if q < 2 and ({"tsallis", "renyi"} & set(measures)):
+        parser.error("--q must be an integer >= 2 for tsallis/renyi")
+    if q < 1 and "wq" in measures:
+        parser.error("--q must be an integer >= 1 for wq")
+
+
 def evaluate(params: SystemParams, state: SolvedState, measures: Iterable[str],
              q: int) -> tuple[str, dict[str, float]]:
     """The measures of one solved state, each by its one route.
@@ -206,10 +217,7 @@ def _report_warnings(caught: list[warnings.WarningMessage]) -> int:
 def cmd_compute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     params, note = _params_from_args(parser, args)
     measures = _parse_measures(parser, args.measure)
-    if args.q < 2 and ({"tsallis", "renyi"} & set(measures)):
-        parser.error("--q must be an integer >= 2 for tsallis/renyi")
-    if args.q < 1 and "wq" in measures:
-        parser.error("--q must be an integer >= 1 for wq")
+    _check_q(parser, measures, args.q)
     spec, q = StateSpec(args.n, args.m), args.q
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -223,12 +231,15 @@ def cmd_compute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             f"solution: b={_fmt(state.b)} E_theta={_fmt(state.e_theta)} "
             f"lambda={_fmt(state.lam)} beta={_fmt(state.beta)}",
         ]
-        if "shannon" in measures:  # the asymptotic closed form, shown alongside
+        closed_shannon = "shannon" in measures and state.mode is AngularMode.PAPER_COSINE
+        if closed_shannon:
             s = shannon_closed(params, state)
             values.update(S_closed=s.S, S1=s.S1, S2=s.S2, S3=s.S3, S4=s.S4)
         fields = {key: _fmt(x) for key, x in values.items()}
-        lines += [COMPUTE_LINES[name].format(q=q, route=route, **fields)
-                  for name in measures]
+        for name in measures:
+            lines.append(COMPUTE_LINES[name].format(q=q, route=route, **fields))
+            if name == "shannon" and closed_shannon:
+                lines.append(SHANNON_CLOSED_LINE.format(**fields))
     reported = _report_warnings(caught)
     if reported:
         lines.append(f"flags: {reported} warning(s), see stderr")
@@ -250,6 +261,7 @@ def cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     measures = _parse_measures(parser, args.measure)
     if len(measures) != 1:
         parser.error("sweep takes exactly one --measure")
+    _check_q(parser, measures, args.q)
     measure = measures[0]
     if args.var != "De" and args.De is None:
         parser.error("--De is required when it is not the swept variable")

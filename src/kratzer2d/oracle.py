@@ -1,28 +1,31 @@
 """Independent numerical checks for every closed-form quantity.
 
 Radial integrals run against generalized Gauss-Laguerre rules
-(polynomial integrands are then exact), or against adaptive quadrature
-with subdivision at the Laguerre nodes when logarithms or non-integer
-powers appear.  A rule's nodes are the eigenvalues of the Jacobi matrix;
-its weights come from the closed formula in L_{K+1}, evaluated in log
-space, so that every weight keeps its relative accuracy down to the
-smallest (eigenvector components carry only absolute accuracy, which
-the doubled guard rules would then report as drift).  Angular integrals
-use uniform trapezoid sums, spectrally accurate for these periodic
-profiles.  The radial spectrum is re-derived with a finite-difference
-eigensolver that never touches the closed-form quantisation.  Large
-parameter scales are handled by keeping normalisation prefactors in log
-space; quadrature weights are normalised and their Gamma(alpha+1) mass
-carried separately.
+(polynomial integrands are then exact), or, when logarithms or
+non-integer powers appear, against a fixed panel rule: Gauss-Legendre
+on panels between the Laguerre zeros, each panel smoothed by a sine
+substitution.  A Gauss-Laguerre rule's nodes are the eigenvalues of the
+Jacobi matrix; its weights come from the closed formula in L_{K+1},
+evaluated in log space, so that every weight keeps its relative
+accuracy down to the smallest (eigenvector components carry only
+absolute accuracy, which the doubled guard rules would then report as
+drift).  Angular integrals use uniform trapezoid sums, spectrally
+accurate for these periodic profiles except for the entropy integrand
+of the cosine profile, whose log cusps get one Richardson step.  The
+radial spectrum is re-derived with a finite-difference eigensolver that
+never touches the closed-form quantisation.  Large parameter scales are
+handled by keeping normalisation prefactors in log space; quadrature
+weights are normalised and their Gamma(alpha+1) mass carried
+separately.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 from .measures import FisherResult
@@ -168,9 +171,16 @@ def angular_integrals_numeric(
     q: float = 2.0,
     n_theta: int = 8192,
 ) -> AngularIntegrals:
-    """Trapezoid values of the angular integrals on a uniform periodic grid."""
-    if n_theta < 4096:
-        raise ValueError(f"angular grid must have >= 4096 points, got {n_theta}")
+    """Trapezoid values of the angular integrals on a uniform periodic grid.
+
+    For the cosine profile the entropy integrand Phi^2 ln Phi^2 has log
+    cusps at the zeros of cos m theta, which leave the trapezoid sum an
+    O(h^3) error; one Richardson step against the half grid (every other
+    node) removes it.
+    """
+    if n_theta < 4096 or n_theta % 2:
+        raise ValueError(f"angular grid must have an even number >= 4096 of points, "
+                         f"got {n_theta}")
     profile = angular_profile(params, m, mode)
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     h = 2.0 * math.pi / n_theta
@@ -179,10 +189,13 @@ def angular_integrals_numeric(
     phi_sq = phi * phi
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(phi_sq > 1e-300, phi_sq * np.log(phi_sq), 0.0)
+    ilog = h * float(np.sum(plogp))
+    if mode is AngularMode.PAPER_COSINE:
+        ilog = (8.0 * ilog - 2.0 * h * float(np.sum(plogp[::2]))) / 7.0
     return AngularIntegrals(
         i2norm=h * float(np.sum(phi_sq)),
         ideriv=h * float(np.sum(dphi * dphi)),
-        ilog=h * float(np.sum(plogp)),
+        ilog=ilog,
         ipow=h * float(np.sum(np.abs(phi) ** (2.0 * q))),
     )
 
@@ -200,6 +213,52 @@ def _lag(n: int, alpha: float, x: np.ndarray) -> np.ndarray:
     if n < 0:
         return np.zeros_like(np.asarray(x, dtype=float))
     return laguerre(n, alpha, x)
+
+
+# Panel rule for radial integrands with a log cusp or a non-integer power
+# at 0 and at each Laguerre zero.  Panel [a, b] is mapped by
+# x = a + (b - a) g(u), g(u) = u - sin(2 pi u) / (2 pi); g' and g'' vanish
+# at both ends, so an end factor (x - x0)^2 ln|x - x0| or x^s becomes
+# u^8 ln u or u^(3s + 2) and Gauss-Legendre converges fast.  Panels wider
+# than _PANEL_WIDTH are split evenly, so e^-x stays well resolved.  Orders
+# 24/48 suffice for Shannon, but the map turns a large power x^s into a
+# steep u^(3s + 2), and their difference then overstated the real-q W_q
+# error past its 1e-8 gate (q >= 2.5, n >= 8); 40/80 keep a wide margin.
+_PANEL_WIDTH = 4.0
+
+
+def _unit_panel_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1] of Gauss-Legendre after the sine map."""
+    t, w = np.polynomial.legendre.leggauss(order)
+    u = 0.5 * (t + 1.0)
+    two_pi_u = 2.0 * math.pi * u
+    return u - np.sin(two_pi_u) / (2.0 * math.pi), 0.5 * w * (1.0 - np.cos(two_pi_u))
+
+
+_UNIT_PANEL_RULES = (_unit_panel_rule(40), _unit_panel_rule(80))
+
+
+def _panel_integrals(
+    integrands: Callable[[np.ndarray], np.ndarray], zeros: np.ndarray, upper: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(I_p, I_2p): integrals over [0, upper] at both panel orders.
+
+    Panel edges are 0, the ``zeros`` below ``upper``, and ``upper``.
+    ``integrands`` gets every node of both rules in one array and
+    returns one row of values per integral (or a single row);
+    |I_p - I_2p| is the error estimate.
+    """
+    edges = np.concatenate(([0.0], zeros[zeros < upper], [upper]))
+    cuts = np.concatenate([edges[:1]] + [
+        np.linspace(a, b, max(1, math.ceil((b - a) / _PANEL_WIDTH)) + 1)[1:]
+        for a, b in zip(edges[:-1], edges[1:])
+    ])
+    lo, width = cuts[:-1, None], np.diff(cuts)[:, None]
+    nodes = [(lo + width * x).ravel() for x, _ in _UNIT_PANEL_RULES]
+    weights = [(width * w).ravel() for _, w in _UNIT_PANEL_RULES]
+    split = nodes[0].size
+    values = integrands(np.concatenate(nodes))
+    return values[..., :split] @ weights[0], values[..., split:] @ weights[1]
 
 
 def density_norm_numeric(
@@ -258,50 +317,38 @@ def fisher_numeric(
 def shannon_numeric(
     params: SystemParams, solved: SolvedState, target: float = 1e-9
 ) -> float:
-    """Shannon entropy -integral rho ln rho by adaptive radial quadrature.
+    """Shannon entropy -integral rho ln rho by the radial panel rule.
 
-    The radial integrand has integrable log singularities at the
-    Laguerre nodes, handled by subdividing there; the angular share
-    enters through the trapezoid profile integrals.  Raises
-    AccuracyError when the quadrature error estimate exceeds ``target``.
+    The radial integrand has integrable log cusps at the Laguerre zeros;
+    the panels end there, and Gauss-Legendre at orders 40 and 80 on the
+    sine-mapped panels gives the value (order 80) and the error
+    estimate (their difference).  The angular share enters through the
+    trapezoid profile integrals.  Raises AccuracyError when the error
+    estimate exceeds ``target``.
     """
     n, lam, beta = solved.spec.n_r, solved.lam, solved.beta
     twol = 2.0 * lam
     ang = angular_integrals_numeric(params, solved.spec.m, solved.mode)
     log_scale = solved.log_norm_sq - math.log(4.0 * beta * beta)
 
-    # unit-mass radial weight: exp(log_scale) x^(2 lam) e^-x L_n^2
-    def weight_log(x: float) -> float:
-        if x <= 0.0:
-            return -math.inf
-        val = _lag(n, twol - 1.0, np.array([x]))[0]
-        if val == 0.0:
-            return -math.inf
-        return log_scale + twol * math.log(x) - x + 2.0 * math.log(abs(val))
-
-    def integrand(x: float) -> float:
-        lw = weight_log(x)
-        if lw == -math.inf:
-            return 0.0
-        # ln of the radial density factor at this x
-        log_rho = lw - log_scale + solved.log_norm_sq - math.log(x)
-        return math.exp(lw) * log_rho
+    def integrands(x: np.ndarray) -> np.ndarray:
+        # unit-mass radial weight exp(log_scale) x^(2 lam) e^-x L_n^2, and
+        # that weight times ln of the radial density factor
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_lag_sq = 2.0 * np.log(np.abs(_lag(n, twol - 1.0, x)))
+            log_x = np.log(x)
+            weight = np.exp(log_scale + twol * log_x - x + log_lag_sq)
+            log_rho = solved.log_norm_sq + (twol - 1.0) * log_x - x + log_lag_sq
+            return np.stack([np.where(weight > 0.0, weight * log_rho, 0.0), weight])
 
     spread = twol + 4.0 * n
     x_max = spread + 25.0 * math.sqrt(spread) + 60.0
-    roots = [r for r in _laguerre_roots(n, twol - 1.0) if 0.0 < r < x_max]
-    r_log, err_log = quad(
-        integrand, 0.0, x_max, points=roots or None, limit=400,
-        epsabs=0.1 * target, epsrel=1e-12,
-    )
-    norm_int, err_norm = quad(
-        lambda x: math.exp(weight_log(x)), 0.0, x_max,
-        points=roots or None, limit=400, epsabs=0.1 * target, epsrel=1e-12,
-    )
-    achieved = err_log + abs(err_norm)
+    (r_log_p, norm_p), (r_log, norm_int) = _panel_integrals(
+        integrands, _laguerre_roots(n, twol - 1.0), x_max)
+    achieved = abs(r_log_p - r_log) + abs(norm_p - norm_int)
     if achieved > target:
         raise AccuracyError("Shannon radial quadrature did not converge", achieved)
-    return -ang.i2norm * r_log - ang.ilog * norm_int
+    return -ang.i2norm * float(r_log) - ang.ilog * float(norm_int)
 
 
 def wq_numeric(
@@ -311,8 +358,8 @@ def wq_numeric(
 
     After u = q x the radial weight is u^(q (2 lam - 1) + 1) e^-u; for
     integer q the remaining factor is the polynomial L_n^2q and the
-    Gauss rule is exact, otherwise adaptive quadrature subdivides at the
-    rescaled Laguerre nodes.
+    Gauss rule is exact, otherwise the panel rule integrates between the
+    rescaled Laguerre zeros (error estimate: orders 40 against 80).
     """
     if mode is not None and mode is not solved.mode:
         raise ValueError("mode argument disagrees with the solved state")
@@ -346,24 +393,18 @@ def wq_numeric(
         if abs(lr - lr2) > 1e-10:
             raise AccuracyError("W_q quadrature did not settle", abs(lr - lr2))
         return math.exp(log_front + lr2)
-    # real q: adaptive quadrature with a floating scale pulled out
+    # real q: the panel rule, with a floating scale pulled out
     spread = alpha + 2.0 * q * n
     u_max = spread + 25.0 * math.sqrt(spread) + 60.0
     offset = alpha * (math.log(alpha) - 1.0) if alpha > 1.0 else 0.0
 
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        val = abs(_lag(n, twol - 1.0, np.array([u / q]))[0])
-        if val == 0.0:
-            return 0.0
-        return math.exp(alpha * math.log(u) - u + 2.0 * q * math.log(val) - offset)
+    def integrand(u: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            log_lag = np.log(np.abs(_lag(n, twol - 1.0, u / q)))
+        return np.exp(alpha * np.log(u) - u + 2.0 * q * log_lag - offset)
 
-    roots = [q * r for r in _laguerre_roots(n, twol - 1.0) if 0.0 < q * r < u_max]
-    radial, err = quad(
-        integrand, 0.0, u_max, points=roots or None, limit=400,
-        epsabs=1e-13, epsrel=1e-11,
-    )
+    rough, radial = _panel_integrals(integrand, q * _laguerre_roots(n, twol - 1.0), u_max)
+    err = abs(rough - radial)
     if radial <= 0.0 or err > 1e-8 * radial:
         raise AccuracyError("W_q radial quadrature did not converge",
                             err / radial if radial > 0.0 else math.inf)

@@ -66,7 +66,6 @@ __all__ = [
     "check_shannon_asymptotic",
     "check_renyi_limit",
     "check_table_patterns",
-    "computed_table",
     "table_scan",
     "ordering_violations",
 ]
@@ -380,21 +379,15 @@ TABLE_DELTA = 0.2
 TABLE_DIPOLE = 0.4
 
 
-def computed_table(
-    params_by_molecule: Mapping[str, SystemParams], q: int = 2
-) -> dict[tuple[int, int], dict[str, dict[str, float]]]:
-    """Measures for the reference-table states: closed Fisher/Tsallis/Renyi
-    and numerical Shannon (the reference Shannon values follow the exact
-    integral, not the asymptotic closed form)."""
-    return _computed_tables(params_by_molecule, (q,))[q]
-
-
 def _computed_tables(
     params_by_molecule: Mapping[str, SystemParams], q_values: Iterable[int]
 ) -> dict[int, dict[tuple[int, int], dict[str, dict[str, float]]]]:
-    """computed_table at each order q.  Each state is solved, and its Fisher
-    and Shannon values computed, once for all orders; Tsallis and Renyi
-    share one W_q per state and order."""
+    """Measures for the reference-table states at each order q: closed
+    Fisher/Tsallis/Renyi and numerical Shannon (the reference Shannon
+    values follow the exact integral, not the asymptotic closed form).
+    Each state is solved, and its Fisher and Shannon values computed,
+    once for all orders; Tsallis and Renyi share one W_q per state and
+    order."""
     tables: dict[int, dict[tuple[int, int], dict[str, dict[str, float]]]] = {
         q: {} for q in q_values}
     for (n, m) in TABLE_ROWS:

@@ -69,6 +69,21 @@ def test_compute_mathieu_mode_routes_to_quadrature(capsys):
     assert "entropic moment: W_2=0.004611989346" in out
 
 
+def test_compute_mathieu_shannon_omits_the_cosine_closed_form(capsys):
+    # The asymptotic closed form belongs to the cosine profile (its S1 is
+    # the cosine angular entropy); under the Mathieu profile only the
+    # quadrature value is printed.
+    code = main(
+        ["compute", "--De", "3", "--re", "1", "--D", "0.3", "--delta", "0.2",
+         "--n", "2", "--m", "1", "--mode", "mathieu", "--method", "matrix",
+         "--measure", "shannon"]
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "shannon: S=5.317208842 (quadrature)"
+    assert not any("closed form" in line for line in lines)
+
+
 def test_sweep_csv_golden(capsys):
     code = main(
         ["sweep", "--var", "De", "--from", "0.5", "--to", "5", "--steps", "5",
@@ -152,6 +167,19 @@ def test_usage_errors_exit_2(argv, capsys):
         main(argv)
     assert excinfo.value.code == 2
     capsys.readouterr()  # drain argparse's usage message
+
+
+@pytest.mark.parametrize("measure,q", [("wq", "0"), ("tsallis", "1"), ("renyi", "0")])
+def test_sweep_checks_q_like_compute(measure, q, capsys):
+    messages = []
+    for argv in (["compute", "--De", "1", "--re", "1"],
+                 ["sweep", "--var", "De", "--from", "1", "--to", "2", "--steps", "2"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--measure", measure, "--q", q])
+        assert excinfo.value.code == 2
+        messages.append(capsys.readouterr().err.splitlines()[-1])
+    assert messages[0] == messages[1]
+    assert messages[1].startswith("kratzer2d: error: --q must be an integer >= ")
 
 
 def test_unknown_preset_exits_1(capsys):

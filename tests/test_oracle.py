@@ -116,7 +116,8 @@ def test_angular_integrals_cosine_m2(std_params):
     assert ints.i2norm == pytest.approx(math.pi, rel=1e-12)
     assert ints.ideriv == pytest.approx(4.0 * math.pi, rel=1e-12)
     # x ln x cusps at the cosine zeros cost the trapezoid its spectral
-    # rate for the entropy integrand; 8192 points give ~1e-9.
+    # rate for the entropy integrand (8192 points alone give ~1e-9); one
+    # Richardson step against the half grid restores ~1e-14.
     assert ints.ilog == pytest.approx(math.pi * (1.0 - 2.0 * math.log(2.0)), rel=1e-8)
     assert ints.ipow == pytest.approx(0.75 * math.pi, rel=1e-12)
 
@@ -215,6 +216,24 @@ def test_shannon_numeric_frozen(std_params, std_state, dipole_params, dipole_sta
     )
 
 
+def test_shannon_numeric_high_n_matches_mpmath():
+    # De = 1, n = 20, m = 0: twenty log cusps; reference from a 30-digit
+    # mpmath quadrature between the Laguerre zeros.
+    p = make_params(De=1.0, re=1.0)
+    state = solve_state(p, StateSpec(20, 0))
+    assert shannon_numeric(p, state) == pytest.approx(13.3772744262853, rel=0, abs=1e-11)
+
+
+@pytest.mark.parametrize("m,expected", [(4, 5.728826803057601), (8, 7.339887973209026)])
+def test_shannon_numeric_cosine_log_cusps_match_mpmath(m, expected):
+    # The angular entropy integrand has log cusps at the 2m zeros of
+    # cos m theta; a plain 8192-node trapezoid sum is 2.2e-9 (m = 4) and
+    # 1.8e-8 (m = 8) off.  References: 30-digit mpmath.
+    p = make_params(De=3.0, re=1.0)
+    state = solve_state(p, StateSpec(1, m))
+    assert shannon_numeric(p, state) == pytest.approx(expected, rel=0, abs=1e-9)
+
+
 def test_shannon_numeric_increases_with_n(std_params):
     values = [
         shannon_numeric(std_params, solve_state(std_params, StateSpec(n, 0)))
@@ -257,7 +276,7 @@ def test_wq_numeric_euler_integral_nodeless():
 
 
 def test_wq_numeric_real_q_path_is_continuous(std_params, std_state):
-    # q = 2 runs the exact Gauss branch, q = 2 + 1e-6 the adaptive
+    # q = 2 runs the exact Gauss branch, q = 2 + 1e-6 the panel-rule
     # branch; the drift S * dq ~ 4e-6 bounds their difference.
     w_int = wq_numeric(std_params, std_state, 2.0)
     w_real = wq_numeric(std_params, std_state, 2.000001)
@@ -299,6 +318,34 @@ def test_wq_numeric_matches_mpmath_moment_sum():
         ref = norm_sq**q * (5 * mpmath.pi / 8) * radial / (4 * beta**2)
     numeric = wq_numeric(p, state, float(q))
     assert numeric == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.5])
+def test_wq_numeric_real_q_matches_mpmath(q):
+    # Real q: |L_n|^2q has a |x - x0|^2q kink at each Laguerre zero.
+    # Reference: 30-digit mpmath.quad of the radial moment with the
+    # zeros as breakpoints, times the exact cosine integral of
+    # |cos theta|^2q, 2 sqrt(pi) Gamma(q + 1/2) / Gamma(q + 1).
+    mpmath = pytest.importorskip("mpmath")
+    n, m = 4, 1
+    p = make_params(De=1.0, re=1.0)
+    state = solve_state(p, StateSpec(n, m))
+    with mpmath.workdps(30):
+        lam, beta, qm = mpmath.mpf(state.lam), mpmath.mpf(state.beta), mpmath.mpf(q)
+        a = 2 * lam - 1
+        norm_sq = (2 * beta**2 * mpmath.factorial(n)
+                   / (mpmath.gamma(n + 2 * lam) * (n + lam) * mpmath.pi))
+        zeros = [mpmath.findroot(lambda x: mpmath.laguerre(n, a, x), x0)
+                 for x0 in sps.roots_genlaguerre(n, float(a))[0]]
+
+        def integrand(x):
+            g = norm_sq * x**a * mpmath.exp(-x) * mpmath.laguerre(n, a, x) ** 2
+            return g**qm * x
+
+        radial = mpmath.quad(integrand, [0] + zeros + [mpmath.inf]) / (4 * beta**2)
+        angular = 2 * mpmath.sqrt(mpmath.pi) * mpmath.gamma(qm + 0.5) / mpmath.gamma(qm + 1)
+        ref = radial * angular
+    assert wq_numeric(p, state, q) == pytest.approx(float(ref), rel=1e-10, abs=0.0)
 
 
 def test_wq_numeric_rejects_bad_q(std_params, std_state):
