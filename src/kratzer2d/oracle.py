@@ -9,14 +9,14 @@ Jacobi matrix; its weights come from the closed formula in L_{K+1},
 evaluated in log space, so that every weight keeps its relative
 accuracy down to the smallest (eigenvector components carry only
 absolute accuracy, which the doubled guard rules would then report as
-drift).  Angular integrals use uniform trapezoid sums, spectrally
-accurate for these periodic profiles except for the entropy integrand
-of the cosine profile, whose log cusps get one Richardson step.  The
-radial spectrum is re-derived with a finite-difference eigensolver that
-never touches the closed-form quantisation.  Large parameter scales are
-handled by keeping normalisation prefactors in log space; quadrature
-weights are normalised and their Gamma(alpha+1) mass carried
-separately.
+drift).  Angular integrals are 8192-node uniform trapezoid sums over
+one turn, the definition that the package and benchmarks/reference.py
+share; angular_integrals_numeric says how far they sit from the exact
+integrals.  The radial spectrum is re-derived with a finite-difference
+eigensolver that never touches the closed-form quantisation.  Large
+parameter scales are handled by keeping normalisation prefactors in log
+space; quadrature weights are normalised and their Gamma(alpha+1) mass
+carried separately.
 """
 
 from __future__ import annotations
@@ -171,21 +171,23 @@ def angular_integrals_numeric(
     q: float = 2.0,
     n_theta: int = 8192,
 ) -> AngularIntegrals:
-    """Trapezoid values of the angular integrals on a uniform periodic grid.
+    """Trapezoid sums of the angular integrals on a uniform grid over one turn.
 
-    For the cosine profile the entropy integrand Phi^2 ln Phi^2 has log
-    cusps at the zeros of cos m theta, which leave the trapezoid sum an
-    O(h^3) error; one Richardson step against the half grid (every other
-    node) removes it.
+    These sums define the angular integrals; benchmarks/reference.py
+    uses the same definition.  They converge spectrally to the exact
+    integrals only for a 2 pi-periodic profile.  The Mathieu profile at
+    non-integer m + delta carries e^(i (m + delta) theta), which is not
+    2 pi-periodic, and its sums sit about 1e-4 relative off the exact
+    integrals.  For the cosine profile the entropy integrand
+    Phi^2 ln Phi^2 has log cusps at the zeros of cos m theta, which leave
+    the trapezoid sum an O(h^3) error; one Richardson step against the
+    half grid (every other node) removes it.
     """
     if n_theta < 4096 or n_theta % 2:
         raise ValueError(f"angular grid must have an even number >= 4096 of points, "
                          f"got {n_theta}")
-    profile = angular_profile(params, m, mode)
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     h = 2.0 * math.pi / n_theta
-    phi = profile.value(theta)
-    dphi = profile.derivative(theta)
+    phi, dphi = angular_profile(params, m, mode)._on_grid(n_theta)
     phi_sq = phi * phi
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(phi_sq > 1e-300, phi_sq * np.log(phi_sq), 0.0)

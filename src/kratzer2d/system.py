@@ -237,23 +237,30 @@ class _CosineProfile:
             return np.zeros_like(theta)
         return -self.m * np.sin(self.m * theta)
 
+    def _on_grid(self, n: int):
+        """(Phi, Phi') at theta_j = 2 pi j / n, j = 0..n-1."""
+        theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        return self.value(theta), self.derivative(theta)
+
 
 class _MathieuProfile:
     """Even Floquet solution of order 2 (m + delta), evaluated at z = theta / 2.
 
     Rescaled so that the profile squared integrates to pi over one turn,
-    matching the cosine convention.
+    matching the cosine convention.  Its frequencies are m + delta + k
+    for integer k.
     """
 
     def __init__(self, m_eff: float, b: float, n_grid: int = 8192):
         sol = mathieu_even_solution(m_eff, b)
         k = np.arange(-sol.truncation, sol.truncation + 1)
         keep = np.abs(sol.coeffs) > 1e-300
-        self.freqs = (sol.order + 2.0 * k[keep]) / 2.0
+        self.carrier = sol.order / 2.0
+        self.k = k[keep]
+        self.freqs = self.carrier + self.k
         self.coeffs = sol.coeffs[keep]
         self.scale = 1.0
-        theta = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
-        raw_sq = (2.0 * math.pi / n_grid) * float(np.sum(self.value(theta) ** 2))
+        raw_sq = (2.0 * math.pi / n_grid) * float(np.sum(self._on_grid(n_grid)[0] ** 2))
         self.scale = math.sqrt(math.pi / raw_sq)
 
     def value(self, theta):
@@ -264,10 +271,32 @@ class _MathieuProfile:
         theta = np.asarray(theta, dtype=float)
         return -self.scale * (np.sin(np.outer(theta, self.freqs)) * self.freqs) @ self.coeffs
 
+    def _on_grid(self, n: int):
+        """(Phi, Phi') at theta_j = 2 pi j / n, j = 0..n-1, by one inverse FFT.
+
+        On the grid e^(i (carrier + k) theta_j) = e^(i carrier theta_j)
+        e^(2 pi i k j / n), so both sums over k are length-n inverse DFTs
+        with the coefficient of k at index k mod n.  The indices wrap when
+        the profile has more than n terms; bincount adds the colliding
+        terms, where index assignment would keep only one of them.
+        """
+        slots = self.k % n
+        spectra = np.stack([
+            np.bincount(slots, weights=self.coeffs, minlength=n),
+            np.bincount(slots, weights=self.coeffs * self.freqs, minlength=n),
+        ])
+        theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        sums = n * np.exp(1j * self.carrier * theta) * np.fft.ifft(spectra)
+        return self.scale * sums[0].real, -self.scale * sums[1].imag
+
 
 @lru_cache(maxsize=256)
 def angular_profile(params: SystemParams, m: int, mode: AngularMode):
-    """Evaluatable angular profile (``.value`` / ``.derivative``) for one state."""
+    """Evaluatable angular profile for one state.
+
+    ``.value`` / ``.derivative`` take any theta; ``._on_grid(n)`` gives
+    both on the uniform n-point grid over one turn.
+    """
     if m < 0:
         raise ValueError(f"angular order m must be >= 0, got {m}")
     if mode is AngularMode.PAPER_COSINE:

@@ -167,9 +167,14 @@ def test_angular_integrals_mathieu_flux_shifts_baseline(dipole_params):
     assert ints.ideriv == pytest.approx(ints0.ideriv, rel=2e-3)
 
 
-def test_angular_integrals_grid_floor(std_params):
+def test_angular_integrals_grid_floor(std_params, dipole_params):
     with pytest.raises(ValueError):
         angular_integrals_numeric(std_params, 1, AngularMode.PAPER_COSINE, n_theta=1024)
+    # the cosine Richardson step takes every other node, so the grid is even
+    for params, mode in ((std_params, AngularMode.PAPER_COSINE),
+                         (dipole_params, AngularMode.MATHIEU_NUMERIC)):
+        with pytest.raises(ValueError, match="even"):
+            angular_integrals_numeric(params, 1, mode, n_theta=8193)
 
 
 # ------------------------------------------------------------ normalization

@@ -24,7 +24,7 @@ from kratzer2d import (
     make_params,
     solve_state,
 )
-from kratzer2d.system import mathieu_coupling
+from kratzer2d.system import angular_profile, mathieu_coupling
 
 
 # ------------------------------------------------------------------- params
@@ -191,6 +191,24 @@ def test_mathieu_profile_zero_coupling_is_shifted_cosine():
     ratios = vals / np.cos(1.2 * theta)
     assert np.ptp(ratios) <= 1e-12
     assert ratios[0] == pytest.approx(0.98101038, rel=1e-6)
+
+
+@pytest.mark.parametrize("Dm, delta, m, n", [
+    (0.1, 0.3, 2, 8192),  # b = 0.4
+    (5.0, 0.3, 2, 8192),  # b = 20
+    (5.0, 0.2, 0, 4096),
+    (5.0, 0.7, 3, 32),    # 51 terms on 32 slots: the indices wrap
+])
+def test_mathieu_profile_grid_matches_pointwise(Dm, delta, m, n):
+    params = make_params(De=3.0, re=1.0, Dm=Dm, delta=delta)
+    profile = angular_profile(params, m, AngularMode.MATHIEU_NUMERIC)
+    if n == 32:
+        assert profile.k.size > n
+    theta = 2.0 * math.pi * np.arange(n) / n
+    phi, dphi = profile._on_grid(n)
+    ref, dref = profile.value(theta), profile.derivative(theta)
+    assert np.max(np.abs(phi - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(dphi - dref)) <= 1e-13 * np.max(np.abs(dref))
 
 
 # ----------------------------------------------------------------- density
