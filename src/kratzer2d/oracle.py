@@ -280,9 +280,7 @@ def density_norm_numeric(
     return ang.i2norm * math.exp(log_val)
 
 
-def fisher_numeric(
-    params: SystemParams, solved: SolvedState, mode: AngularMode | None = None
-) -> FisherResult:
+def fisher_numeric(params: SystemParams, solved: SolvedState) -> FisherResult:
     """Fisher information by quadrature of the density-gradient integrals.
 
     Radial integrands use the analytic derivative of the Laguerre
@@ -290,8 +288,6 @@ def fisher_numeric(
     that the Gauss rule integrates exactly; a doubled rule guards
     against bookkeeping errors.
     """
-    if mode is not None and mode is not solved.mode:
-        raise ValueError("mode argument disagrees with the solved state")
     n, lam, beta = solved.spec.n_r, solved.lam, solved.beta
     ang_norm, ang_deriv = _angular_factors(params, solved)
     twol = 2.0 * lam
@@ -353,9 +349,7 @@ def shannon_numeric(
     return -ang.i2norm * float(r_log) - ang.ilog * float(norm_int)
 
 
-def wq_numeric(
-    params: SystemParams, solved: SolvedState, q: float, mode: AngularMode | None = None
-) -> float:
+def wq_numeric(params: SystemParams, solved: SolvedState, q: float) -> float:
     """Entropic moment W_q by quadrature of rho^q, for real q > 0.
 
     After u = q x the radial weight is u^(q (2 lam - 1) + 1) e^-u; for
@@ -363,8 +357,6 @@ def wq_numeric(
     Gauss rule is exact, otherwise the panel rule integrates between the
     rescaled Laguerre zeros (error estimate: orders 40 against 80).
     """
-    if mode is not None and mode is not solved.mode:
-        raise ValueError("mode argument disagrees with the solved state")
     if not q > 0.0:
         raise ValueError(f"wq_numeric requires q > 0, got {q}")
     n, lam, beta = solved.spec.n_r, solved.lam, solved.beta

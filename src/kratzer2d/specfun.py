@@ -249,12 +249,13 @@ def mathieu_char_matrix(m_eff: float, b: float, K: int = 25) -> MathieuEvenSolut
     """Even Mathieu characteristic number by tridiagonal diagonalisation.
 
     Builds the symmetric operator with diagonal (nu + 2k)^2, k = -K..K,
-    nu = 2 m_eff, and off-diagonal b, then follows the eigenvalue that
-    connects continuously to nu^2 as b -> 0.  The branch is tracked by
-    eigenvector overlap while stepping b upward, which keeps the
-    selection stable through avoided crossings.  Raises TruncationError
-    when the Fourier tail |c_(+-K)| has not decayed below 1e-12 of the
-    largest coefficient.
+    nu = 2 m_eff, and off-diagonal b.  Its eigenvalues are simple for
+    b > 0, so ranks cannot cross: the branch joining nu^2 at b = 0 is the
+    eigenvalue of the same rank.  At integer nu, k = 0 and k = -nu tie at
+    nu^2 (a_nu and b_nu, equal to rounding at small b); of that pair the
+    vector with the larger overlap on the symmetric seed is kept, signed
+    so the overlap is positive.  Raises TruncationError when the Fourier
+    tail |c_(+-K)| has not decayed below 1e-12 of the largest coefficient.
     """
     m_eff = float(m_eff)
     b = float(b)
@@ -270,18 +271,17 @@ def mathieu_char_matrix(m_eff: float, b: float, K: int = 25) -> MathieuEvenSolut
         coeffs = np.zeros(size)
         coeffs[K] = 1.0
         return MathieuEvenSolution(nu, 0.0, nu * nu, coeffs, K)
-    ref = _even_seed(nu, size, K)
-    n_steps = min(64, max(1, math.ceil(b / 0.5)))
-    best = 0
-    vals = diag
+    seed = _even_seed(nu, size, K)
+    tied = np.flatnonzero(seed)
+    first = int(np.count_nonzero(diag < diag[tied].min()))
     try:
-        for bi in np.linspace(b / n_steps, b, n_steps):
-            vals, vecs = eigh_tridiagonal(diag, np.full(size - 1, bi))
-            best = int(np.argmax(np.abs(vecs.T @ ref)))
-            ref = vecs[:, best]
+        vals, vecs = eigh_tridiagonal(diag, np.full(size - 1, b), select="i",
+                                      select_range=(first, first + tied.size - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise TruncationError(f"eigensolve failed for K = {K}: {exc}") from exc
-    coeffs = ref if ref[K] >= 0.0 else -ref
+    overlap = vecs.T @ seed
+    best = int(np.argmax(np.abs(overlap)))
+    coeffs = vecs[:, best] if overlap[best] >= 0.0 else -vecs[:, best]
     peak = np.max(np.abs(coeffs))
     tail = max(abs(coeffs[0]), abs(coeffs[-1]))
     if tail > _TAIL_TOL * peak:
@@ -292,9 +292,9 @@ def mathieu_char_matrix(m_eff: float, b: float, K: int = 25) -> MathieuEvenSolut
     return MathieuEvenSolution(nu, b, float(vals[best]), coeffs, K)
 
 
-def mathieu_even_solution(m_eff: float, b: float, K: int = 25) -> MathieuEvenSolution:
+def mathieu_even_solution(m_eff: float, b: float) -> MathieuEvenSolution:
     """mathieu_char_matrix with the truncation doubled until the tail decays."""
-    K = max(K, int(math.ceil(2.0 * m_eff)) + 15, int(2.0 * math.sqrt(max(b, 0.0))) + 10)
+    K = max(25, int(math.ceil(2.0 * m_eff)) + 15, int(2.0 * math.sqrt(max(b, 0.0))) + 10)
     while True:
         try:
             return mathieu_char_matrix(m_eff, b, K)

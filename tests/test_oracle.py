@@ -204,11 +204,6 @@ def test_fisher_numeric_standard(std_params, std_state):
     assert result.I2 == 0.0  # m = 0: flat angular derivative
 
 
-def test_fisher_numeric_mode_mismatch(dipole_params, dipole_state):
-    with pytest.raises(ValueError):
-        fisher_numeric(dipole_params, dipole_state, mode=AngularMode.MATHIEU_NUMERIC)
-
-
 # ------------------------------------------------------------------ Shannon
 
 

@@ -233,10 +233,12 @@ def test_mathieu_matrix_zero_coupling_exact():
 
 @pytest.mark.parametrize(
     "m_eff,b",
-    [(0.5, 0.4), (1.0, 0.4), (1.0, 1.0), (1.5, 0.4), (2.0, 0.4), (3.0, 2.0)],
+    [(0.5, 0.4), (1.0, 0.4), (1.0, 1.0), (1.5, 0.4), (2.0, 0.4), (3.0, 2.0),
+     (4.0, 50.0), (4.5, 20.0)],
 )
 def test_mathieu_matrix_matches_scipy_at_integer_orders(m_eff, b):
-    # At integer order nu = 2 m_eff the even branch is scipy's a_nu(b).
+    # At integer order nu = 2 m_eff the even branch is scipy's a_nu(b),
+    # the upper of the pair b_nu < a_nu that ties at nu^2 when b = 0.
     ours = mathieu_even_solution(m_eff, b).char_number
     ref = float(sps.mathieu_a(int(round(2.0 * m_eff)), b))
     assert ours == pytest.approx(ref, abs=1e-10, rel=1e-12)

@@ -12,6 +12,7 @@ import pkgutil
 
 import numpy as np
 import pytest
+import scipy.special as sps
 
 import kratzer2d
 from kratzer2d import (
@@ -24,7 +25,8 @@ from kratzer2d import (
     make_params,
     solve_state,
 )
-from kratzer2d.system import angular_profile, mathieu_coupling
+from kratzer2d.specfun import mathieu_even_solution
+from kratzer2d.system import _MathieuProfile, angular_profile, mathieu_coupling
 
 
 # ------------------------------------------------------------------- params
@@ -209,6 +211,30 @@ def test_mathieu_profile_grid_matches_pointwise(Dm, delta, m, n):
     ref, dref = profile.value(theta), profile.derivative(theta)
     assert np.max(np.abs(phi - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(dphi - dref)) <= 1e-13 * np.max(np.abs(dref))
+
+
+@pytest.mark.parametrize("nu, b", [
+    (9, 20.0),
+    (8, 0.47),   # a_8 and b_8 agree to rounding
+    (5, 0.023),  # a_5 and b_5 agree to rounding
+])
+def test_mathieu_profile_matches_scipy_cem_at_integer_order(nu, b):
+    # At integer order the profile is ce_nu(theta / 2, b).  The package
+    # writes it as sum_k c_k cos((nu + 2k) z), in which k and -nu - k give
+    # the same cosine, so only the even part of c (symmetric under that
+    # swap) makes the profile; the odd branch se_nu has none.
+    profile = _MathieuProfile(nu / 2.0, b)
+    theta = np.linspace(0.0, 2.0 * math.pi, 257)
+    ours = profile.value(theta)
+    ref = sps.mathieu_cem(nu, b, np.degrees(theta / 2.0))[0]
+    ours, ref = ours / np.linalg.norm(ours), ref / np.linalg.norm(ref)
+    ours *= math.copysign(1.0, ours @ ref)
+    assert np.max(np.abs(ours - ref)) <= 1e-10
+
+    c = mathieu_even_solution(nu / 2.0, b).coeffs
+    mirror = np.zeros_like(c)
+    mirror[:c.size - nu] = c[::-1][nu:]  # c_(-nu-k) at the slot of c_k
+    assert np.linalg.norm(c + mirror) / 2.0 >= np.linalg.norm(c) / math.sqrt(2.0)
 
 
 # ----------------------------------------------------------------- density
