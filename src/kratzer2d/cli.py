@@ -93,7 +93,7 @@ def _add_state_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_param_flags(sub: argparse.ArgumentParser, with_preset: bool = True) -> None:
+def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--De", type=float, help="well depth (hartree)")
     sub.add_argument("--re", type=float, help="equilibrium distance (bohr)")
     sub.add_argument("--D", type=float, default=0.0,
@@ -102,19 +102,18 @@ def _add_param_flags(sub: argparse.ArgumentParser, with_preset: bool = True) -> 
                      help="flux ratio (dimensionless)")
     sub.add_argument("--mu", type=float, default=None,
                      help="reduced mass (electron masses); default 1 or preset value")
-    if with_preset:
-        sub.add_argument("--preset", help="molecule preset name (e.g. Cs2, Li2, SiSn)")
-        sub.add_argument("--preset-file", help="JSON file merged over built-in presets")
-        sub.add_argument(
-            "--units", choices=UNIT_CHOICES, default="raw",
-            help="preset interpretation: 'raw' uses the tabulated numbers as "
-            "atomic-unit values with mu=1 (reproduces the published tables); "
-            "'converted' applies the physical unit conversion",
-        )
-        sub.add_argument(
-            "--mu-convention", choices=molecules.MU_CONVENTIONS, default="nist",
-            help="reduced-mass convention for --units converted",
-        )
+    sub.add_argument("--preset", help="molecule preset name (e.g. Cs2, Li2, SiSn)")
+    sub.add_argument("--preset-file", help="JSON file merged over built-in presets")
+    sub.add_argument(
+        "--units", choices=UNIT_CHOICES, default="raw",
+        help="preset interpretation: 'raw' uses the tabulated numbers as "
+        "atomic-unit values with mu=1 (reproduces the published tables); "
+        "'converted' applies the physical unit conversion",
+    )
+    sub.add_argument(
+        "--mu-convention", choices=molecules.MU_CONVENTIONS, default="nist",
+        help="reduced-mass convention for --units converted",
+    )
 
 
 def _preset_params(preset: molecules.MoleculePreset,

@@ -1,17 +1,18 @@
 """Independent numerical checks for every closed-form quantity.
 
-Radial integrals run against generalized Gauss-Laguerre rules
-(polynomial integrands are then exact), or, when logarithms or
-non-integer powers appear, against a fixed panel rule: Gauss-Legendre
-on panels between the Laguerre zeros, each panel smoothed by a sine
-substitution.  A Gauss-Laguerre rule's nodes are the eigenvalues of the
-Jacobi matrix; its weights come from the closed formula in L_{K+1},
-evaluated in log space, so that every weight keeps its relative
-accuracy down to the smallest (eigenvector components carry only
-absolute accuracy, which the doubled guard rules would then report as
-drift).  Angular integrals are 8192-node uniform trapezoid sums over
-one turn, the definition that the package and benchmarks/reference.py
-share; angular_integrals_numeric says how far they sit from the exact
+The density norm and Fisher's radial integrals run against generalized
+Gauss-Laguerre rules (their polynomial integrands are then exact).
+Shannon and the entropic moments W_q, at integer and real q alike, run
+against one fixed panel rule: Gauss-Legendre on panels between the
+Laguerre zeros, each panel smoothed by a sine substitution.  A
+Gauss-Laguerre rule's nodes are the eigenvalues of the Jacobi matrix;
+its weights come from the closed formula in L_{K+1}, evaluated in log
+space, so that every weight keeps its relative accuracy down to the
+smallest (eigenvector components carry only absolute accuracy, which
+the doubled guard rule would then report as drift).  Angular integrals
+are 8192-node uniform trapezoid sums over one turn, the definition that
+the package and benchmarks/reference.py share;
+angular_integrals_numeric says how far they sit from the exact
 integrals.  The radial spectrum is re-derived with a finite-difference
 eigensolver that never touches the closed-form quantisation.  Large
 parameter scales are handled by keeping normalisation prefactors in log
@@ -217,15 +218,18 @@ def _lag(n: int, alpha: float, x: np.ndarray) -> np.ndarray:
     return laguerre(n, alpha, x)
 
 
-# Panel rule for radial integrands with a log cusp or a non-integer power
-# at 0 and at each Laguerre zero.  Panel [a, b] is mapped by
-# x = a + (b - a) g(u), g(u) = u - sin(2 pi u) / (2 pi); g' and g'' vanish
-# at both ends, so an end factor (x - x0)^2 ln|x - x0| or x^s becomes
-# u^8 ln u or u^(3s + 2) and Gauss-Legendre converges fast.  Panels wider
-# than _PANEL_WIDTH are split evenly, so e^-x stays well resolved.  Orders
-# 24/48 suffice for Shannon, but the map turns a large power x^s into a
-# steep u^(3s + 2), and their difference then overstated the real-q W_q
-# error past its 1e-8 gate (q >= 2.5, n >= 8); 40/80 keep a wide margin.
+# Panel rule for the radial integrands of Shannon and W_q, which may carry
+# a log cusp or a non-integer power at 0 and at each Laguerre zero.
+# Panel [a, b] is mapped by x = a + (b - a) g(u), g(u) = u - sin(2 pi u)
+# / (2 pi); g' and g'' vanish at both ends, so an end factor
+# (x - x0)^2 ln|x - x0| or x^s becomes u^8 ln u or u^(3s + 2) and
+# Gauss-Legendre converges fast.  Panels wider than _PANEL_WIDTH are split
+# evenly, so e^-x stays well resolved.  Orders 24/48 suffice for Shannon,
+# but the map turns a large power x^s into a steep u^(3s + 2), and their
+# difference then overstated the real-q W_q error past its 1e-8 gate
+# (q >= 2.5, n >= 8); 40/80 keep a wide margin there.  At large q n the
+# 40/80 difference still overstates the error: it can exceed W_q's 1e-10
+# integer-q bound while I_80 stays within 1e-13 of the exact moment.
 _PANEL_WIDTH = 4.0
 
 
@@ -352,10 +356,12 @@ def shannon_numeric(
 def wq_numeric(params: SystemParams, solved: SolvedState, q: float) -> float:
     """Entropic moment W_q by quadrature of rho^q, for real q > 0.
 
-    After u = q x the radial weight is u^(q (2 lam - 1) + 1) e^-u; for
-    integer q the remaining factor is the polynomial L_n^2q and the
-    Gauss rule is exact, otherwise the panel rule integrates between the
-    rescaled Laguerre zeros (error estimate: orders 40 against 80).
+    After u = q x the radial integrand is u^(q (2 lam - 1) + 1) e^-u
+    |L_n(u/q)|^2q, which the panel rule integrates between the rescaled
+    Laguerre zeros at every q, with a floating scale pulled out.  Raises
+    AccuracyError when the error estimate |I_40 - I_80| / I_80 exceeds
+    1e-10 at integer q (a smooth integrand) or 1e-8 at real q (kinks at
+    the zeros).
     """
     if not q > 0.0:
         raise ValueError(f"wq_numeric requires q > 0, got {q}")
@@ -369,25 +375,6 @@ def wq_numeric(params: SystemParams, solved: SolvedState, q: float) -> float:
         - math.log(4.0 * beta * beta)
         - (alpha + 1.0) * math.log(q)
     )
-    if float(q).is_integer():
-        qi = int(q)
-
-        def log_radial(K: int) -> float:
-            nodes, weights, log_mass = _scaled_gauss_laguerre(alpha, K)
-            vals = np.abs(_lag(n, twol - 1.0, nodes / qi))
-            with np.errstate(divide="ignore"):
-                logs = 2.0 * qi * np.log(vals)
-            top = float(np.max(logs))
-            if top == -math.inf:
-                return -math.inf
-            return log_mass + top + math.log(float(weights @ np.exp(logs - top)))
-
-        lr = log_radial(qi * n + 6)
-        lr2 = log_radial(2 * (qi * n + 6))
-        if abs(lr - lr2) > 1e-10:
-            raise AccuracyError("W_q quadrature did not settle", abs(lr - lr2))
-        return math.exp(log_front + lr2)
-    # real q: the panel rule, with a floating scale pulled out
     spread = alpha + 2.0 * q * n
     u_max = spread + 25.0 * math.sqrt(spread) + 60.0
     offset = alpha * (math.log(alpha) - 1.0) if alpha > 1.0 else 0.0
@@ -399,7 +386,8 @@ def wq_numeric(params: SystemParams, solved: SolvedState, q: float) -> float:
 
     rough, radial = _panel_integrals(integrand, q * _laguerre_roots(n, twol - 1.0), u_max)
     err = abs(rough - radial)
-    if radial <= 0.0 or err > 1e-8 * radial:
+    tol = 1e-10 if float(q).is_integer() else 1e-8
+    if radial <= 0.0 or err > tol * radial:
         raise AccuracyError("W_q radial quadrature did not converge",
                             err / radial if radial > 0.0 else math.inf)
     return math.exp(log_front + offset + math.log(radial))

@@ -276,8 +276,10 @@ def test_wq_numeric_euler_integral_nodeless():
 
 
 def test_wq_numeric_real_q_path_is_continuous(std_params, std_state):
-    # q = 2 runs the exact Gauss branch, q = 2 + 1e-6 the panel-rule
-    # branch; the drift S * dq ~ 4e-6 bounds their difference.
+    # Both orders run the panel rule; q = 2 is held to the integer-q
+    # bound (1e-10) and q = 2 + 1e-6 to the real-q bound (1e-8), so this
+    # checks continuity across that switch.  The drift S * dq ~ 4e-6
+    # bounds their difference.
     w_int = wq_numeric(std_params, std_state, 2.0)
     w_real = wq_numeric(std_params, std_state, 2.000001)
     assert abs(w_real - w_int) / w_int < 1e-5
@@ -291,31 +293,28 @@ def test_renyi_orders_nonincreasing_numeric(std_params):
     assert renyi[0] >= renyi[1] >= renyi[2]
 
 
-def test_wq_numeric_matches_mpmath_moment_sum():
-    # A q = 3 state whose doubled guard rule is sensitive to the relative
-    # accuracy of the smallest weights.  Reference: L_n^(2 lam - 1)(x)^2q expanded as a
-    # polynomial in 50-digit arithmetic and integrated term by term,
-    # int x^(alpha + j) e^(-q x) dx = Gamma(alpha + j + 1) / q^(alpha + j + 1),
-    # times N^2q, the cosine integral 5 pi / 8 and 1 / (4 beta^2).
-    mpmath = pytest.importorskip("mpmath")
-    n, m, q = 4, 1, 3
-    p = make_params(De=1.0, re=1.0, delta=0.0)
+@pytest.mark.parametrize(
+    "De,n,m,q", [(1.0, 4, 1, 3), (1.0, 18, 1, 8), (3.0, 35, 1, 4)]
+)
+def test_wq_numeric_matches_mpmath_moment_sum(De, n, m, q, mp_laguerre_power_moment):
+    # Integer q on the panel rule, up to q n = 144 (the old Gauss-Laguerre
+    # route raised a math domain error at the two larger states).
+    # Reference: the 250-digit moment sum of the radial integral after
+    # u = q x, over q^(alpha + 1), times N^2q, the cosine integral
+    # 2 pi C(2q, q) / 4^q and 1 / (4 beta^2).
+    import mpmath
+
+    p = make_params(De=De, re=1.0, delta=0.0)
     state = solve_state(p, StateSpec(n, m))
+    moment = mp_laguerre_power_moment(q, n, state.lam)
     with mpmath.workdps(50):
         lam, beta = mpmath.mpf(state.lam), mpmath.mpf(state.beta)
-        a = 2 * lam - 1
-        lag = [(-1) ** i * mpmath.binomial(n + a, n - i) / mpmath.factorial(i)
-               for i in range(n + 1)]
-        poly = [mpmath.mpf(1)]
-        for _ in range(2 * q):
-            poly = [sum(poly[j] * lag[k - j] for j in range(len(poly)) if 0 <= k - j <= n)
-                    for k in range(len(poly) + n)]
-        alpha = q * a + 1
-        radial = mpmath.fsum(c * mpmath.gamma(alpha + j + 1) / mpmath.mpf(q) ** (alpha + j + 1)
-                             for j, c in enumerate(poly))
+        alpha = q * (2 * lam - 1) + 1
+        radial = moment / mpmath.mpf(q) ** (alpha + 1)
         norm_sq = (2 * beta**2 * mpmath.factorial(n)
                    / (mpmath.gamma(n + 2 * lam) * (n + lam) * mpmath.pi))
-        ref = norm_sq**q * (5 * mpmath.pi / 8) * radial / (4 * beta**2)
+        angular = 2 * mpmath.pi * mpmath.binomial(2 * q, q) / mpmath.mpf(4) ** q
+        ref = norm_sq**q * angular * radial / (4 * beta**2)
     numeric = wq_numeric(p, state, float(q))
     assert numeric == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 

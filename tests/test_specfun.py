@@ -385,6 +385,19 @@ def test_gamma0_frozen_values():
     assert gamma0(2, 1, 1.9142135623730951) == pytest.approx(3.5268858347e04, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [20, 50])
+def test_gamma0_log_matches_mpmath_moment_sum(n, mp_laguerre_power_moment):
+    # q = 3, lam = 3.7: the last step takes one log of the exact integer
+    # ratio, not three large float logs that cancel (those left 1.3e-12
+    # and 1.7e-12 of error here).  gamma0 is the moment itself.
+    import mpmath
+
+    ref = float(mpmath.log(mp_laguerre_power_moment(3, n, 3.7)))
+    lg, sign = log_gamma0(3, n, 3.7)
+    assert sign == 1.0
+    assert lg == pytest.approx(ref, rel=0, abs=2e-14)
+
+
 def test_gamma0_positive_across_grid():
     # The defining integral has a nonnegative integrand, so the sign is
     # always +1 even where the alternating core cancels by many digits.
