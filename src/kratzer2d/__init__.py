@@ -30,7 +30,6 @@ from .molecules import (
 from .oracle import (
     AccuracyError,
     angular_integrals_numeric,
-    density_norm_numeric,
     fisher_numeric,
     gauss_laguerre_rule,
     radial_fd_eigen,
@@ -84,7 +83,6 @@ __all__ = [
     "angular_function",
     "angular_integrals_numeric",
     "density",
-    "density_norm_numeric",
     "fisher_closed",
     "fisher_numeric",
     "gamma0",

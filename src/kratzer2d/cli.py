@@ -6,9 +6,9 @@ presets), ``sweep`` (CSV parameter sweeps for plotting), ``validate``
 (the cross-validation suite).  Exit codes: 0 success, 1 computation or
 validation failure, 2 usage error.
 
-:func:`evaluate` is the one place that routes a measure to its closed
-form or to the oracle; ``compute``, ``sweep`` and ``table`` only solve
-states and format what it returns.
+:func:`kratzer2d.validation.evaluate` is the one place that routes a
+measure to its closed form or to the oracle; ``compute``, ``sweep`` and
+``table`` only solve states and format what it returns.
 """
 
 from __future__ import annotations
@@ -16,22 +16,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import warnings
 from contextlib import nullcontext
-from typing import IO, Iterable
+from typing import IO
 
 from . import molecules
-from .measures import (
-    EntropicMoment,
-    fisher_closed,
-    renyi,
-    shannon_closed,
-    tsallis,
-    wq_closed,
-)
-from .oracle import AccuracyError, fisher_numeric, shannon_numeric, wq_numeric
+from .measures import shannon_closed
+from .oracle import AccuracyError
 from .specfun import (
     CancellationWarning,
     SeriesSingularError,
@@ -40,14 +32,13 @@ from .specfun import (
 )
 from .system import (
     AngularMode,
-    SolvedState,
     StateSpec,
     SystemParams,
     UnboundAngularError,
     make_params,
     solve_state,
 )
-from .validation import CheckResult, run_checks
+from .validation import CheckResult, evaluate, run_checks
 
 # Each measure and the symbol of its headline value.
 SYMBOLS = {"fisher": "I", "shannon": "S", "tsallis": "T", "renyi": "R",
@@ -80,9 +71,21 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
+def _quantum_number(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {value}")
+    return value
+
+
 def _add_state_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, default=0, help="radial quantum number (>= 0)")
-    sub.add_argument("--m", type=int, default=0, help="angular quantum number (>= 0)")
+    sub.add_argument("--n", type=_quantum_number, default=0,
+                     help="radial quantum number (>= 0)")
+    sub.add_argument("--m", type=_quantum_number, default=0,
+                     help="angular quantum number (>= 0)")
     sub.add_argument(
         "--mode", choices=("cosine", "mathieu"), default="cosine",
         help="angular profile: closed-form cosine or numeric even solution",
@@ -165,44 +168,6 @@ def _check_q(parser: argparse.ArgumentParser, measures: list[str], q: int) -> No
         parser.error("--q must be an integer >= 2 for tsallis/renyi")
     if q < 1 and "wq" in measures:
         parser.error("--q must be an integer >= 1 for wq")
-
-
-def evaluate(params: SystemParams, state: SolvedState, measures: Iterable[str],
-             q: int) -> tuple[str, dict[str, float]]:
-    """The measures of one solved state, each by its one route.
-
-    Closed forms assume the cosine angular convention, so under it they
-    answer; under the numeric Mathieu profile the oracle's quadratures
-    do.  Shannon is always the quadrature (the closed form is only
-    asymptotic).  Tsallis, Renyi and W_q share one entropic moment,
-    evaluated at most once.  Returns the route of Fisher and the moment
-    ("closed form" or "quadrature") and the printed values by symbol:
-    I, I1, I2, S, T, R, W, E and E_total, as far as asked for.
-    """
-    cosine = state.mode is AngularMode.PAPER_COSINE
-    values: dict[str, float] = {}
-    moment = None
-    for name in measures:
-        if name == "fisher":
-            f = fisher_closed(params, state) if cosine else fisher_numeric(params, state)
-            values.update(I=f.I, I1=f.I1, I2=f.I2)
-        elif name == "shannon":
-            values["S"] = shannon_numeric(params, state)
-        elif name == "energy":
-            values.update(E=state.energy, E_total=state.energy_total)
-        else:
-            if moment is None:
-                if cosine:
-                    moment = wq_closed(params, state, q)
-                else:
-                    w = wq_numeric(params, state, q)
-                    moment = EntropicMoment(q, w, math.log(w))
-                values["W"] = moment.Wq
-            if name == "tsallis":
-                values["T"] = tsallis(moment)
-            elif name == "renyi":
-                values["R"] = renyi(moment)
-    return ("closed form" if cosine else "quadrature"), values
 
 
 def _report_warnings(caught: list[warnings.WarningMessage]) -> int:
@@ -457,11 +422,15 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     if not isinstance(config, dict):
         raise ValueError("--config must hold a JSON object of flag values")
     config = {str(k).replace("-", "_"): v for k, v in config.items()}
-    for action in parser._subparsers._group_actions:  # noqa: SLF001
-        if isinstance(action, argparse._SubParsersAction):  # noqa: SLF001
-            for sub in action.choices.values():
-                dests = {a.dest for a in sub._actions}  # noqa: SLF001
-                sub.set_defaults(**{k: v for k, v in config.items() if k in dests})
+    subs = [sub for action in parser._subparsers._group_actions  # noqa: SLF001
+            if isinstance(action, argparse._SubParsersAction)  # noqa: SLF001
+            for sub in action.choices.values()]
+    dests = [{a.dest for a in sub._actions} for sub in subs]  # noqa: SLF001
+    unknown = sorted(set(config).difference(*dests))
+    if unknown:
+        raise ValueError(f"--config keys {unknown} name no flag of any subcommand")
+    for sub, names in zip(subs, dests):
+        sub.set_defaults(**{k: v for k, v in config.items() if k in names})
 
 
 def main(argv: list[str] | None = None) -> int:

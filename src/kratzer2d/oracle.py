@@ -1,7 +1,8 @@
 """Independent numerical checks for every closed-form quantity.
 
-The density norm and Fisher's radial integrals run against generalized
-Gauss-Laguerre rules (their polynomial integrands are then exact).
+Gauss-Laguerre serves Fisher only: its radial integrands are
+polynomials against a generalized Laguerre weight, which the rule
+integrates exactly.  The normalisation (the entropic moment W_1),
 Shannon and the entropic moments W_q, at integer and real q alike, run
 against one fixed panel rule: Gauss-Legendre on panels between the
 Laguerre zeros, each panel smoothed by a sine substitution.  A
@@ -9,9 +10,10 @@ Gauss-Laguerre rule's nodes are the eigenvalues of the Jacobi matrix;
 its weights come from the closed formula in L_{K+1}, evaluated in log
 space, so that every weight keeps its relative accuracy down to the
 smallest (eigenvector components carry only absolute accuracy, which
-the doubled guard rule would then report as drift).  Angular integrals
-are 8192-node uniform trapezoid sums over one turn, the definition that
-the package and benchmarks/reference.py share;
+the doubled guard rule would then report as drift).  Angular integrals,
+for Fisher and the entropies alike and in both angular modes, are
+ANGULAR_GRID-node uniform trapezoid sums over one turn, the definition
+that the package and benchmarks/reference.py share;
 angular_integrals_numeric says how far they sit from the exact
 integrals.  The radial spectrum is re-derived with a finite-difference
 eigensolver that never touches the closed-form quantisation.  Large
@@ -31,6 +33,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .measures import FisherResult
 from .system import (
+    ANGULAR_GRID,
     AngularMode,
     SolvedState,
     StateSpec,
@@ -46,10 +49,8 @@ __all__ = [
     "AccuracyError",
     "QuadratureRule",
     "AngularIntegrals",
-    "RadialGrid",
     "gauss_laguerre_rule",
     "angular_integrals_numeric",
-    "density_norm_numeric",
     "fisher_numeric",
     "shannon_numeric",
     "wq_numeric",
@@ -82,20 +83,6 @@ class AngularIntegrals:
     ideriv: float   # integral of Phi'^2
     ilog: float     # integral of Phi^2 ln Phi^2
     ipow: float     # integral of |Phi|^2q
-
-
-@dataclass(frozen=True)
-class RadialGrid:
-    """Uniform grid for the finite-difference radial eigensolver."""
-
-    r_max: float
-    points: int
-
-    def spacing(self) -> float:
-        return self.r_max / (self.points + 1)
-
-    def radii(self) -> np.ndarray:
-        return self.spacing() * np.arange(1, self.points + 1)
 
 
 def _laguerre_roots(n: int, alpha: float) -> np.ndarray:
@@ -170,7 +157,6 @@ def angular_integrals_numeric(
     m: int,
     mode: AngularMode,
     q: float = 2.0,
-    n_theta: int = 8192,
 ) -> AngularIntegrals:
     """Trapezoid sums of the angular integrals on a uniform grid over one turn.
 
@@ -184,11 +170,8 @@ def angular_integrals_numeric(
     the trapezoid sum an O(h^3) error; one Richardson step against the
     half grid (every other node) removes it.
     """
-    if n_theta < 4096 or n_theta % 2:
-        raise ValueError(f"angular grid must have an even number >= 4096 of points, "
-                         f"got {n_theta}")
-    h = 2.0 * math.pi / n_theta
-    phi, dphi = angular_profile(params, m, mode)._on_grid(n_theta)
+    h = 2.0 * math.pi / ANGULAR_GRID
+    phi, dphi = angular_profile(params, m, mode)._on_grid(ANGULAR_GRID)
     phi_sq = phi * phi
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(phi_sq > 1e-300, phi_sq * np.log(phi_sq), 0.0)
@@ -201,15 +184,6 @@ def angular_integrals_numeric(
         ilog=ilog,
         ipow=h * float(np.sum(np.abs(phi) ** (2.0 * q))),
     )
-
-
-def _angular_factors(params: SystemParams, solved: SolvedState) -> tuple[float, float]:
-    """(integral of Phi^2, integral of Phi'^2); analytic for the cosine mode."""
-    m = solved.spec.m
-    if solved.mode is AngularMode.PAPER_COSINE:
-        return math.pi, math.pi * m * m if m > 0 else 0.0
-    ints = angular_integrals_numeric(params, m, solved.mode)
-    return ints.i2norm, ints.ideriv
 
 
 def _lag(n: int, alpha: float, x: np.ndarray) -> np.ndarray:
@@ -267,33 +241,17 @@ def _panel_integrals(
     return values[..., :split] @ weights[0], values[..., split:] @ weights[1]
 
 
-def density_norm_numeric(
-    params: SystemParams, solved: SolvedState, n_theta: int = 8192
-) -> float:
-    """Quadrature of the full density over the plane; should be 1."""
-    n, lam = solved.spec.n_r, solved.lam
-    ang = angular_integrals_numeric(params, solved.spec.m, solved.mode, n_theta=n_theta)
-    nodes, weights, log_mass = _scaled_gauss_laguerre(2.0 * lam, n + 6)
-    radial = float(weights @ _lag(n, 2.0 * lam - 1.0, nodes) ** 2)
-    log_val = (
-        solved.log_norm_sq
-        - math.log(4.0 * solved.beta**2)
-        + log_mass
-        + math.log(radial)
-    )
-    return ang.i2norm * math.exp(log_val)
-
-
 def fisher_numeric(params: SystemParams, solved: SolvedState) -> FisherResult:
     """Fisher information by quadrature of the density-gradient integrals.
 
     Radial integrands use the analytic derivative of the Laguerre
     density, leaving polynomials against the weight x^(2 lam - 2) e^-x
     that the Gauss rule integrates exactly; a doubled rule guards
-    against bookkeeping errors.
+    against bookkeeping errors.  The angular factors are the trapezoid
+    integrals of Phi^2 and Phi'^2, in either angular mode.
     """
-    n, lam, beta = solved.spec.n_r, solved.lam, solved.beta
-    ang_norm, ang_deriv = _angular_factors(params, solved)
+    n, lam = solved.spec.n_r, solved.lam
+    ang = angular_integrals_numeric(params, solved.spec.m, solved.mode)
     twol = 2.0 * lam
 
     def parts(K: int) -> tuple[float, float]:
@@ -307,8 +265,8 @@ def fisher_numeric(params: SystemParams, solved: SolvedState) -> FisherResult:
 
     r1, r2 = parts(n + 6)
     r1b, r2b = parts(2 * (n + 6))
-    i1 = ang_norm * r1b
-    i2 = 4.0 * ang_deriv * r2b
+    i1 = ang.i2norm * r1b
+    i2 = 4.0 * ang.ideriv * r2b
     drift = abs(r1 - r1b) + abs(r2 - r2b)
     total = i1 + i2
     if drift > 1e-10 * max(abs(total), 1.0):
@@ -398,16 +356,16 @@ def radial_fd_eigen(
     m: int,
     count: int,
     method: str = "series",
-    grid: RadialGrid | None = None,
 ) -> list[float]:
     """Lowest radial eigenvalues by second-order finite differences.
 
     Discretises the radial operator (second derivative plus the
     inverse-square and Coulomb-like terms) on a uniform Dirichlet grid
     sized from the closed-form length scale, solves the tridiagonal
-    eigenproblem on the grid and its half-spacing refinement, and
-    Richardson-extrapolates the O(h^2) error.  Energies are returned in
-    the same convention as SolvedState.energy (well offset excluded).
+    eigenproblem on 4001 interior points and on the half-spacing
+    refinement (8003 points), and Richardson-extrapolates the O(h^2)
+    error.  Energies are returned in the same convention as
+    SolvedState.energy (well offset excluded).
     """
     if count < 1 or count > 10:
         raise ValueError(f"radial_fd_eigen supports 1 <= count <= 10, got {count}")
@@ -418,21 +376,20 @@ def radial_fd_eigen(
     lam = 0.5 + math.sqrt(radicand)
     c2 = radicand - 0.25  # = lam (lam - 1)
     two_mu_a = 2.0 * params.mu * params.A
-    if grid is None:
-        beta_min = beta_param(params, StateSpec(count - 1, m), lam)
-        grid = RadialGrid(r_max=(40.0 + 10.0 * (count - 1)) / (2.0 * beta_min), points=4001)
+    beta_min = beta_param(params, StateSpec(count - 1, m), lam)
+    r_max = (40.0 + 10.0 * (count - 1)) / (2.0 * beta_min)
 
-    def spectrum(g: RadialGrid) -> np.ndarray:
-        h = g.spacing()
-        r = g.radii()
+    def spectrum(points: int) -> np.ndarray:
+        h = r_max / (points + 1)
+        r = h * np.arange(1, points + 1)
         diag = 2.0 / (h * h) + c2 / (r * r) + two_mu_a / r
-        off = np.full(g.points - 1, -1.0 / (h * h))
+        off = np.full(points - 1, -1.0 / (h * h))
         return eigh_tridiagonal(
             diag, off, select="i", select_range=(0, count - 1), eigvals_only=True
         )
 
-    coarse = spectrum(grid)
-    fine = spectrum(RadialGrid(grid.r_max, 2 * grid.points + 1))
+    coarse = spectrum(4001)
+    fine = spectrum(8003)
     extrap = (4.0 * fine - coarse) / 3.0
     resid = float(np.max(np.abs(fine - extrap) / np.abs(extrap)))
     if resid > 5e-5:

@@ -25,6 +25,7 @@ from .specfun import (
 )
 
 __all__ = [
+    "ANGULAR_GRID",
     "UnboundAngularError",
     "SystemParams",
     "StateSpec",
@@ -39,6 +40,11 @@ __all__ = [
     "angular_function",
     "density",
 ]
+
+
+# Points of the uniform grid over one turn on which the angular profile is
+# sampled: its pi-normalisation and the oracle's angular integrals.
+ANGULAR_GRID = 8192
 
 
 class UnboundAngularError(ValueError):
@@ -251,7 +257,7 @@ class _MathieuProfile:
     for integer k.
     """
 
-    def __init__(self, m_eff: float, b: float, n_grid: int = 8192):
+    def __init__(self, m_eff: float, b: float):
         sol = mathieu_even_solution(m_eff, b)
         k = np.arange(-sol.truncation, sol.truncation + 1)
         keep = np.abs(sol.coeffs) > 1e-300
@@ -260,7 +266,8 @@ class _MathieuProfile:
         self.freqs = self.carrier + self.k
         self.coeffs = sol.coeffs[keep]
         self.scale = 1.0
-        raw_sq = (2.0 * math.pi / n_grid) * float(np.sum(self._on_grid(n_grid)[0] ** 2))
+        raw_sq = (2.0 * math.pi / ANGULAR_GRID) * float(
+            np.sum(self._on_grid(ANGULAR_GRID)[0] ** 2))
         self.scale = math.sqrt(math.pi / raw_sq)
 
     def value(self, theta):

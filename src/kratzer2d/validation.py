@@ -8,6 +8,10 @@ The table machinery compares computed measures against published
 reference values for three diatomic molecules under several unit
 interpretations, because the reference tables do not state the mass
 convention or entropy order they used.
+
+:func:`evaluate` is the one place that routes a measure to its closed
+form or to the oracle; the CLI commands, the trend suite and the table
+scan all take their measures from it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .measures import (
     wq_closed,
 )
 from .oracle import (
-    density_norm_numeric,
     fisher_numeric,
     radial_fd_eigen,
     shannon_numeric,
@@ -55,6 +58,7 @@ from .system import (
 __all__ = [
     "CheckResult",
     "VALIDATE_CHECKS",
+    "evaluate",
     "REFERENCE_MEASURES",
     "run_checks",
     "check_normalization",
@@ -94,6 +98,44 @@ class CheckResult:
         return f"{text} — {self.detail}" if self.detail else text
 
 
+def evaluate(params: SystemParams, state: SolvedState, measures: Iterable[str],
+             q: int = 2) -> tuple[str, dict[str, float]]:
+    """The measures of one solved state, each by its one route.
+
+    Closed forms assume the cosine angular convention, so under it they
+    answer; under the numeric Mathieu profile the oracle's quadratures
+    do.  Shannon is always the quadrature (the closed form is only
+    asymptotic).  Tsallis, Renyi and W_q share one entropic moment of
+    order ``q``, evaluated at most once.  Returns the route of Fisher
+    and the moment ("closed form" or "quadrature") and the values by
+    symbol: I, I1, I2, S, T, R, W, E and E_total, as far as asked for.
+    """
+    cosine = state.mode is AngularMode.PAPER_COSINE
+    values: dict[str, float] = {}
+    moment = None
+    for name in measures:
+        if name == "fisher":
+            f = fisher_closed(params, state) if cosine else fisher_numeric(params, state)
+            values.update(I=f.I, I1=f.I1, I2=f.I2)
+        elif name == "shannon":
+            values["S"] = shannon_numeric(params, state)
+        elif name == "energy":
+            values.update(E=state.energy, E_total=state.energy_total)
+        else:
+            if moment is None:
+                if cosine:
+                    moment = wq_closed(params, state, q)
+                else:
+                    w = wq_numeric(params, state, q)
+                    moment = EntropicMoment(q, w, math.log(w))
+                values["W"] = moment.Wq
+            if name == "tsallis":
+                values["T"] = tsallis(moment)
+            elif name == "renyi":
+                values["R"] = renyi(moment)
+    return ("closed form" if cosine else "quadrature"), values
+
+
 def _solve(params: SystemParams, spec: StateSpec,
            mode: AngularMode = AngularMode.PAPER_COSINE) -> tuple[SolvedState, bool]:
     """Solve with the characteristic-number series, matrix fallback when
@@ -117,12 +159,13 @@ def _base_grid() -> Iterable[tuple[SystemParams, StateSpec]]:
 
 
 def check_normalization() -> CheckResult:
-    """Density integrates to 1 over the plane on the full parameter grid."""
+    """Density integrates to 1 over the plane on the full parameter grid:
+    the entropic moment W_1 by the oracle's panel rule."""
     worst, where, fallbacks = 0.0, "", 0
     for params, spec in _base_grid():
         state, fell = _solve(params, spec)
         fallbacks += fell
-        dev = abs(density_norm_numeric(params, state) - 1.0)
+        dev = abs(wq_numeric(params, state, 1.0) - 1.0)
         if dev > worst:
             worst, where = dev, f"n={spec.n_r} m={spec.m} De={params.De} d={params.delta} D={params.Dm}"
     return CheckResult(
@@ -227,13 +270,8 @@ def check_spectrum() -> CheckResult:
 
 def _measures_at(params: SystemParams, spec: StateSpec) -> tuple[float, float, float, float]:
     state, _ = _solve(params, spec)
-    moment = wq_closed(params, state, 2)
-    return (
-        fisher_closed(params, state).I,
-        shannon_numeric(params, state),
-        tsallis(moment),
-        renyi(moment),
-    )
+    _, values = evaluate(params, state, ("fisher", "shannon", "tsallis", "renyi"), 2)
+    return values["I"], values["S"], values["T"], values["R"]
 
 
 def _strict(values: list[float], direction: int) -> float:
@@ -382,12 +420,12 @@ TABLE_DIPOLE = 0.4
 def _computed_tables(
     params_by_molecule: Mapping[str, SystemParams], q_values: Iterable[int]
 ) -> dict[int, dict[tuple[int, int], dict[str, dict[str, float]]]]:
-    """Measures for the reference-table states at each order q: closed
-    Fisher/Tsallis/Renyi and numerical Shannon (the reference Shannon
-    values follow the exact integral, not the asymptotic closed form).
-    Each state is solved, and its Fisher and Shannon values computed,
-    once for all orders; Tsallis and Renyi share one W_q per state and
-    order."""
+    """Measures for the reference-table states at each order q, routed
+    by :func:`evaluate` (closed Fisher/Tsallis/Renyi, numerical Shannon:
+    the reference Shannon values follow the exact integral, not the
+    asymptotic closed form).  Each state is solved, and its Fisher and
+    Shannon values computed, once for all orders; Tsallis and Renyi
+    share one W_q per state and order."""
     tables: dict[int, dict[tuple[int, int], dict[str, dict[str, float]]]] = {
         q: {} for q in q_values}
     for (n, m) in TABLE_ROWS:
@@ -395,10 +433,11 @@ def _computed_tables(
             table[(n, m)] = {}
         for name, params in params_by_molecule.items():
             state, _ = _solve(params, StateSpec(n, m))
-            I, S = fisher_closed(params, state).I, shannon_numeric(params, state)
+            _, common = evaluate(params, state, ("fisher", "shannon"))
             for q, table in tables.items():
-                moment = wq_closed(params, state, q)
-                table[(n, m)][name] = {"I": I, "S": S, "T": tsallis(moment), "R": renyi(moment)}
+                _, values = evaluate(params, state, ("tsallis", "renyi"), q)
+                table[(n, m)][name] = {"I": common["I"], "S": common["S"],
+                                       "T": values["T"], "R": values["R"]}
     return tables
 
 

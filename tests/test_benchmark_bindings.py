@@ -5,10 +5,15 @@ COUNTED, and the tracer and benchmarks/run.py call the lru_cache interface
 of system.angular_profile.  A rename in the package would otherwise show
 up only when the benchmark runs.  benchmarks/reference.py defines the
 Mathieu branch on its own (Sturm bisection in mpmath); the package's
-matrix route must pick the same branch.
+matrix route must pick the same branch.  benchmarks/run.py checks, in a
+traced run only, that each of its CANNED requests reaches the layers it
+names; the same check runs here on every test run.
 """
 
+import ast
+import contextlib
 import importlib
+import io
 import sys
 from pathlib import Path
 
@@ -36,6 +41,35 @@ def test_traced_functions_resolve(tracing):
     for module, name in pairs:
         fn = getattr(importlib.import_module(f"kratzer2d.{module}"), name, None)
         assert callable(fn), f"kratzer2d.{module}.{name}"
+
+
+def _canned_requests():
+    # Read the literal without executing any of run.py.
+    tree = ast.parse((BENCHMARKS / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "CANNED" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("benchmarks/run.py defines no CANNED")
+
+
+CANNED = _canned_requests()
+
+
+@pytest.mark.parametrize("argv, names", CANNED,
+                         ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(CANNED)])
+def test_canned_request_reaches_named_layers(tracing, argv, names):
+    from kratzer2d import cli
+
+    tracer = tracing.Tracer()
+    out, err = io.StringIO(), io.StringIO()
+    with tracer.installed(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    assert code == 0, err.getvalue()
+    calls = tracer.call_counts()
+    missed = [name for name in ("cli.main",) + tuple(names) if calls[name + ".calls"] < 1]
+    assert not missed, f"{argv} reached no {missed}"
 
 
 def test_angular_profile_keeps_cache_interface():

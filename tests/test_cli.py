@@ -12,8 +12,8 @@ import sys
 
 import pytest
 
-import kratzer2d.cli
 import kratzer2d.measures
+import kratzer2d.validation
 from kratzer2d import AccuracyError
 from kratzer2d.cli import main
 from kratzer2d.validation import VALIDATE_CHECKS
@@ -158,9 +158,12 @@ def test_table_writes_output_file(tmp_path, capsys):
         ["sweep", "--var", "De", "--from", "0.5", "--to", "5", "--steps", "3",
          "--measure", "fisher,shannon"],
         ["sweep", "--var", "D", "--from", "0", "--to", "2", "--steps", "3"],
+        ["compute", "--De", "1", "--re", "1", "--n", "-1"],
+        ["compute", "--De", "1", "--re", "1", "--m", "-1"],
     ],
     ids=["no-params", "preset-conflict", "tsallis-q1", "bad-measure",
-         "one-step", "reversed-range", "two-measures", "missing-De"],
+         "one-step", "reversed-range", "two-measures", "missing-De",
+         "negative-n", "negative-m"],
 )
 def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -218,6 +221,27 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
                  "--n", "0"])
     assert code == 0
     assert "state: n=0 m=0" in capsys.readouterr().out
+
+
+def test_config_values_do_not_outlive_their_call(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "measure": "energy"}))
+    assert main(["--config", str(cfg), "compute", "--De", "1", "--re", "1"]) == 0
+    assert "state: n=2 m=0" in capsys.readouterr().out
+    assert main(["compute", "--De", "1", "--re", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "state: n=0 m=0" in out
+    assert "fisher: I=" in out and "energy:" not in out
+
+
+def test_config_key_naming_no_flag_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nn": 2, "measure": "energy"}))
+    code = main(["--config", str(cfg), "compute", "--De", "1", "--re", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --config keys ['nn'] name no flag of any subcommand\n"
 
 
 def test_validate_single_check_passes(capsys):
@@ -286,7 +310,7 @@ def test_compute_evaluates_the_entropic_moment_once(monkeypatch, capsys):
                  "--measure", "tsallis,renyi,wq", "--q", "3"])
     assert code == 0
     assert len(closed) == 1
-    numeric = _counting(monkeypatch, kratzer2d.cli, "wq_numeric")
+    numeric = _counting(monkeypatch, kratzer2d.validation, "wq_numeric")
     code = main(["compute", "--De", "3", "--re", "1", "--D", "0.1", "--delta", "0.2",
                  "--n", "1", "--m", "1", "--mode", "mathieu", "--method", "matrix",
                  "--measure", "tsallis,renyi,wq", "--q", "3"])

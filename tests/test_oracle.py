@@ -18,7 +18,6 @@ from kratzer2d import (
     AngularMode,
     StateSpec,
     angular_integrals_numeric,
-    density_norm_numeric,
     fisher_numeric,
     gauss_laguerre_rule,
     make_params,
@@ -27,7 +26,6 @@ from kratzer2d import (
     solve_state,
     wq_numeric,
 )
-from kratzer2d.oracle import RadialGrid
 
 
 # -------------------------------------------------------- quadrature rules
@@ -167,31 +165,6 @@ def test_angular_integrals_mathieu_flux_shifts_baseline(dipole_params):
     assert ints.ideriv == pytest.approx(ints0.ideriv, rel=2e-3)
 
 
-def test_angular_integrals_grid_floor(std_params, dipole_params):
-    with pytest.raises(ValueError):
-        angular_integrals_numeric(std_params, 1, AngularMode.PAPER_COSINE, n_theta=1024)
-    # the cosine Richardson step takes every other node, so the grid is even
-    for params, mode in ((std_params, AngularMode.PAPER_COSINE),
-                         (dipole_params, AngularMode.MATHIEU_NUMERIC)):
-        with pytest.raises(ValueError, match="even"):
-            angular_integrals_numeric(params, 1, mode, n_theta=8193)
-
-
-# ------------------------------------------------------------ normalization
-
-
-def test_density_norm_is_unity(std_params, std_state, dipole_params, dipole_state):
-    assert density_norm_numeric(std_params, std_state) == pytest.approx(1.0, abs=1e-10)
-    assert density_norm_numeric(dipole_params, dipole_state) == pytest.approx(
-        1.0, abs=1e-10
-    )
-
-
-def test_density_norm_is_unity_mathieu_mode(dipole_params):
-    state = solve_state(dipole_params, StateSpec(2, 2), mode=AngularMode.MATHIEU_NUMERIC)
-    assert density_norm_numeric(dipole_params, state) == pytest.approx(1.0, abs=1e-8)
-
-
 # ------------------------------------------------------------------- Fisher
 
 
@@ -202,6 +175,47 @@ def test_fisher_numeric_standard(std_params, std_state):
     assert result.I == pytest.approx(expected, rel=1e-11)
     assert result.I == pytest.approx(1.1405617954, rel=1e-9)
     assert result.I2 == 0.0  # m = 0: flat angular derivative
+
+
+def test_fisher_numeric_cosine_matches_mpmath_definition():
+    # I = int |grad rho|^2 / rho for rho = f(r) Phi(theta)^2, that is
+    # int Phi^2 dtheta int f'^2 / f r dr + 4 int Phi'^2 dtheta int f / r dr,
+    # by 30-digit mpmath.quad, independent of fisher_closed.  In x = 2 beta r,
+    # with f = N^2 x^a e^-x L^2 (a = 2 lam - 1), the radial integrals are
+    # N^2 int x^(a+1) e^-x (a L / x - L + 2 L')^2 dx and N^2 int x^(a-1) e^-x L^2 dx.
+    # L and L' come from the explicit sum of L_n^(a) (DLMF 18.5.12), not from
+    # the recurrence or the derivative identity the oracle uses.
+    mpmath = pytest.importorskip("mpmath")
+    n, m = 3, 2
+    p = make_params(De=3.0, re=1.0, delta=0.2)
+    state = solve_state(p, StateSpec(n, m))
+    with mpmath.workdps(30):
+        lam, beta = mpmath.mpf(state.lam), mpmath.mpf(state.beta)
+        a = 2 * lam - 1
+        norm_sq = (2 * beta**2 * mpmath.factorial(n)
+                   / (mpmath.gamma(n + 2 * lam) * (n + lam) * mpmath.pi))
+        coeffs = [(-1) ** k * mpmath.binomial(n + a, n - k) / mpmath.factorial(k)
+                  for k in range(n + 1)]
+        dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
+
+        def lag(x):
+            return mpmath.polyval(coeffs[::-1], x)
+
+        def dlag(x):
+            return mpmath.polyval(dcoeffs[::-1], x)
+
+        zeros = [mpmath.findroot(lag, x0) for x0 in sps.roots_genlaguerre(n, float(a))[0]]
+        breaks = [0] + zeros + [mpmath.inf]
+        radial_grad = norm_sq * mpmath.quad(
+            lambda x: x ** (a + 1) * mpmath.exp(-x)
+            * (a * lag(x) / x - lag(x) + 2 * dlag(x)) ** 2, breaks)
+        radial_cent = norm_sq * mpmath.quad(
+            lambda x: x ** (a - 1) * mpmath.exp(-x) * lag(x) ** 2, breaks)
+        turn = [0, 2 * mpmath.pi]
+        ang_sq = mpmath.quad(lambda t: mpmath.cos(m * t) ** 2, turn)
+        ang_deriv = mpmath.quad(lambda t: (m * mpmath.sin(m * t)) ** 2, turn)
+        ref = ang_sq * radial_grad + 4 * ang_deriv * radial_cent
+    assert fisher_numeric(p, state).I == pytest.approx(float(ref), rel=1e-11, abs=0.0)
 
 
 # ------------------------------------------------------------------ Shannon
@@ -250,8 +264,13 @@ def test_shannon_numeric_accuracy_error(std_params, std_state):
 # ----------------------------------------------------------------- moments
 
 
-def test_wq_numeric_normalization_diagnostic(std_params, std_state):
+def test_wq_numeric_normalization_diagnostic(std_params, std_state, dipole_params,
+                                             dipole_state):
+    # The normalisation is the entropic moment W_1, in either angular mode.
     assert wq_numeric(std_params, std_state, 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert wq_numeric(dipole_params, dipole_state, 1.0) == pytest.approx(1.0, abs=1e-10)
+    state = solve_state(dipole_params, StateSpec(2, 2), mode=AngularMode.MATHIEU_NUMERIC)
+    assert wq_numeric(dipole_params, state, 1.0) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_wq_numeric_frozen_w2(std_params, std_state):
@@ -378,22 +397,9 @@ def test_fd_pins_dipole_chain(dipole_params, dipole_state):
     assert fd[2] == pytest.approx(-0.5364487980, rel=1e-8)
 
 
-def test_fd_accepts_custom_grid(std_params):
-    fd = radial_fd_eigen(std_params, 0, count=1, grid=RadialGrid(30.0, 3001))
-    closed = solve_state(std_params, StateSpec(0, 0)).energy
-    assert fd[0] == pytest.approx(closed, rel=1e-7)
-
-
 def test_fd_rejects_bad_count(std_params):
     with pytest.raises(ValueError):
         radial_fd_eigen(std_params, 0, count=0)
     with pytest.raises(ValueError):
         radial_fd_eigen(std_params, 0, count=11)
 
-
-def test_radial_grid_geometry():
-    grid = RadialGrid(10.0, 99)
-    assert grid.spacing() == pytest.approx(0.1, rel=1e-15, abs=0)
-    radii = grid.radii()
-    assert radii.shape == (99,)
-    assert radii[0] == pytest.approx(0.1) and radii[-1] == pytest.approx(9.9)
