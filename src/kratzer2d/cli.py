@@ -58,6 +58,8 @@ COMPUTE_LINES = {
 SHANNON_CLOSED_LINE = ("shannon closed form (asymptotic): "
                        "S={S_closed} [S1={S1} S2={S2} S3={S3} S4={S4}]")
 UNIT_CHOICES = ("raw", "converted")
+# --q of compute and sweep; _check_q enforces it.
+Q_HELP = "entropy order: integer >= 2 for tsallis/renyi, >= 1 for wq"
 
 
 def _fmt(x: float) -> str:
@@ -362,9 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_flags(p_compute)
     p_compute.add_argument("--measure", default="fisher",
                            help="comma list from: " + ", ".join(MEASURES))
-    p_compute.add_argument("--q", type=int, default=2,
-                           help="entropy order for tsallis/renyi/wq (integer >= 2)")
-    p_compute.set_defaults(func=cmd_compute)
+    p_compute.add_argument("--q", type=int, default=2, help=Q_HELP)
 
     p_table = sub.add_parser("table", help="published-table layout for presets")
     p_table.add_argument("--tables", type=int, choices=(1, 2), default=1,
@@ -382,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--method", choices=("series", "matrix"), default="series")
     p_table.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     p_table.add_argument("--output", help="output path (default stdout)")
-    p_table.set_defaults(func=cmd_table)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over De, D, or delta")
     p_sweep.add_argument("--var", choices=("De", "D", "delta"), required=True)
@@ -397,18 +396,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mu", type=float, default=None)
     _add_state_flags(p_sweep)
     p_sweep.add_argument("--measure", default="fisher")
-    p_sweep.add_argument("--q", type=int, default=2)
+    p_sweep.add_argument("--q", type=int, default=2, help=Q_HELP)
     p_sweep.add_argument("--output", help="output path (default stdout)")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_validate = sub.add_parser("validate", help="run the cross-validation suite")
     p_validate.add_argument("--checks", help="comma list of check names (default all)")
-    p_validate.set_defaults(func=cmd_validate)
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Use a JSON file of flag values as parse-time defaults."""
+def _config_token(value) -> str:
+    """A JSON value as a flag's text: a list becomes a comma list."""
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with the flag values of a --config JSON file put after the subcommand.
+
+    Each entry becomes ``--flag=value`` right after the subcommand name, so
+    it goes through the flag's type and choices, and the same flag given
+    later on the command line wins.  A null entry leaves its flag at the
+    default.  The parser itself is left as it is.
+    """
     path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -416,30 +424,46 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
     if path is None:
-        return
+        return argv
     with open(path, encoding="utf-8") as handle:
         config = json.load(handle)
     if not isinstance(config, dict):
         raise ValueError("--config must hold a JSON object of flag values")
     config = {str(k).replace("-", "_"): v for k, v in config.items()}
-    subs = [sub for action in parser._subparsers._group_actions  # noqa: SLF001
-            if isinstance(action, argparse._SubParsersAction)  # noqa: SLF001
-            for sub in action.choices.values()]
-    dests = [{a.dest for a in sub._actions} for sub in subs]  # noqa: SLF001
-    unknown = sorted(set(config).difference(*dests))
+    # each subcommand's flags by destination
+    flags = {name: {a.dest: a.option_strings[-1]
+                    for a in sub._actions if a.option_strings}  # noqa: SLF001
+             for action in parser._subparsers._group_actions  # noqa: SLF001
+             if isinstance(action, argparse._SubParsersAction)  # noqa: SLF001
+             for name, sub in action.choices.items()}
+    unknown = sorted(set(config).difference(*flags.values()))
     if unknown:
         raise ValueError(f"--config keys {unknown} name no flag of any subcommand")
-    for sub, names in zip(subs, dests):
-        sub.set_defaults(**{k: v for k, v in config.items() if k in names})
+    for i, token in enumerate(argv):
+        if token in flags and (i == 0 or argv[i - 1] != "--config"):
+            given = [f"{flags[token][k]}={_config_token(v)}"
+                     for k, v in config.items() if k in flags[token] and v is not None]
+            return argv[:i + 1] + given + argv[i + 1:]
+    return argv
+
+
+# The parser of every main() call in this process, built on the first one.
+# Nothing changes it after that: --config values go into argv instead.
+_PARSER: argparse.ArgumentParser | None = None
 
 
 def main(argv: list[str] | None = None) -> int:
+    global _PARSER
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
+    # Looked up per call, so the module's current cmd_* functions run.
+    commands = {"compute": cmd_compute, "table": cmd_table,
+                "sweep": cmd_sweep, "validate": cmd_validate}
     try:
-        _apply_config(parser, argv)
-        args = parser.parse_args(argv)
-        return args.func(parser, args)
+        args = parser.parse_args(_apply_config(parser, argv))
+        return commands[args.command](parser, args)
     except SeriesSingularError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: retry with --method matrix", file=sys.stderr)

@@ -169,21 +169,31 @@ def angular_integrals_numeric(
     Phi^2 ln Phi^2 has log cusps at the zeros of cos m theta, which leave
     the trapezoid sum an O(h^3) error; one Richardson step against the
     half grid (every other node) removes it.
+
+    The result is stored on the cached profile under float(q) and
+    returned from there on later calls, so each (profile, q) takes one
+    grid; Fisher and Shannon use only some of the four sums, but taking
+    them apart would cost more grids than the unused sums do.
     """
+    profile = angular_profile(params, m, mode)
+    key = float(q)
+    if key in profile.integrals:
+        return profile.integrals[key]
     h = 2.0 * math.pi / ANGULAR_GRID
-    phi, dphi = angular_profile(params, m, mode)._on_grid(ANGULAR_GRID)
+    phi, dphi = profile._on_grid(ANGULAR_GRID)
     phi_sq = phi * phi
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(phi_sq > 1e-300, phi_sq * np.log(phi_sq), 0.0)
     ilog = h * float(np.sum(plogp))
     if mode is AngularMode.PAPER_COSINE:
         ilog = (8.0 * ilog - 2.0 * h * float(np.sum(plogp[::2]))) / 7.0
-    return AngularIntegrals(
+    profile.integrals[key] = AngularIntegrals(
         i2norm=h * float(np.sum(phi_sq)),
         ideriv=h * float(np.sum(dphi * dphi)),
         ilog=ilog,
         ipow=h * float(np.sum(np.abs(phi) ** (2.0 * q))),
     )
+    return profile.integrals[key]
 
 
 def _lag(n: int, alpha: float, x: np.ndarray) -> np.ndarray:

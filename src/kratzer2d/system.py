@@ -230,6 +230,7 @@ class _CosineProfile:
 
     def __init__(self, m: int):
         self.m = m
+        self.integrals: dict = {}  # oracle's angular integrals, by float(q)
 
     def value(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -258,6 +259,7 @@ class _MathieuProfile:
     """
 
     def __init__(self, m_eff: float, b: float):
+        self.integrals: dict = {}  # oracle's angular integrals, by float(q)
         sol = mathieu_even_solution(m_eff, b)
         k = np.arange(-sol.truncation, sol.truncation + 1)
         keep = np.abs(sol.coeffs) > 1e-300
@@ -302,7 +304,9 @@ def angular_profile(params: SystemParams, m: int, mode: AngularMode):
     """Evaluatable angular profile for one state.
 
     ``.value`` / ``.derivative`` take any theta; ``._on_grid(n)`` gives
-    both on the uniform n-point grid over one turn.
+    both on the uniform n-point grid over one turn.  ``.integrals`` holds
+    the oracle's angular integrals of the profile by order q, so
+    ``cache_clear()`` drops them with the profile.
     """
     if m < 0:
         raise ValueError(f"angular order m must be >= 0, got {m}")

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+import kratzer2d.cli
 import kratzer2d.measures
 import kratzer2d.validation
 from kratzer2d import AccuracyError
@@ -232,6 +233,46 @@ def test_config_values_do_not_outlive_their_call(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "state: n=0 m=0" in out
     assert "fisher: I=" in out and "energy:" not in out
+
+
+@pytest.mark.parametrize("entry, flag", [({"n": -1}, ["--n", "-1"]),
+                                         ({"mode": "bogus"}, ["--mode", "bogus"])],
+                         ids=["negative-n", "bad-mode"])
+def test_config_values_pass_the_flags_checks(tmp_path, capsys, entry, flag):
+    # A bad config value is the usage error the same flag gives on the
+    # command line, with the same message.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    messages = []
+    for argv in (["--config", str(cfg), "compute"], ["compute"] + flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--De", "1", "--re", "1"])
+        assert excinfo.value.code == 2
+        messages.append(capsys.readouterr().err.splitlines()[-1])
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"kratzer2d compute: error: argument {flag[0]}: ")
+
+
+def test_config_list_is_a_comma_list_and_null_the_default(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"deltas": [0, 0.3], "mu": None}))
+    code = main(["--config", str(cfg), "sweep", "--var", "De", "--from", "0.5",
+                 "--to", "5", "--steps", "5", "--n", "2"])
+    assert code == 0
+    assert capsys.readouterr().out == SWEEP_GOLDEN
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(kratzer2d.cli, "_PARSER", None)
+    built = _counting(monkeypatch, kratzer2d.cli, "build_parser")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"measure": "energy"}))
+    for argv in (["compute", "--De", "1", "--re", "1"],
+                 ["--config", str(cfg), "compute", "--De", "1", "--re", "1"],
+                 ["sweep", "--var", "De", "--from", "1", "--to", "2", "--steps", "2"]):
+        assert main(argv) == 0
+    assert len(built) <= 1
+    capsys.readouterr()
 
 
 def test_config_key_naming_no_flag_exits_1(tmp_path, capsys):

@@ -26,6 +26,8 @@ from kratzer2d import (
     solve_state,
     wq_numeric,
 )
+from kratzer2d import oracle, system
+from kratzer2d.validation import evaluate
 
 
 # -------------------------------------------------------- quadrature rules
@@ -163,6 +165,38 @@ def test_angular_integrals_mathieu_flux_shifts_baseline(dipole_params):
     b0 = make_params(De=3.0, re=1.0, Dm=0.0, delta=0.2)
     ints0 = angular_integrals_numeric(b0, 2, AngularMode.MATHIEU_NUMERIC, q=2.0)
     assert ints.ideriv == pytest.approx(ints0.ideriv, rel=2e-3)
+
+
+def test_angular_integrals_are_taken_once_per_profile_and_order(dipole_params, monkeypatch):
+    # Fisher (its q = 2 sums), then W_q, Tsallis and Renyi at q = 3, each
+    # asked for alone: the profile's normalisation plus one grid per order.
+    grids = []
+    on_grid = system._MathieuProfile._on_grid
+
+    def counting_grid(profile, n):
+        grids.append(n)
+        return on_grid(profile, n)
+
+    monkeypatch.setattr(system._MathieuProfile, "_on_grid", counting_grid)
+    returned = []
+    integrals = oracle.angular_integrals_numeric
+
+    def recording(*args, **kwargs):
+        returned.append((args, kwargs, integrals(*args, **kwargs)))
+        return returned[-1][-1]
+
+    monkeypatch.setattr(oracle, "angular_integrals_numeric", recording)
+    system.angular_profile.cache_clear()
+    state = solve_state(dipole_params, StateSpec(2, 2), mode=AngularMode.MATHIEU_NUMERIC)
+    for measure in ("fisher", "wq", "tsallis", "renyi"):
+        evaluate(dipole_params, state, [measure], 3)
+    assert len(returned) == 4
+    assert len(grids) <= 1 + 2
+    for args, kwargs, ints in returned:
+        system.angular_profile.cache_clear()
+        seen = len(grids)
+        assert integrals(*args, **kwargs) == ints
+        assert len(grids) > seen  # a cleared cache takes the grid again
 
 
 # ------------------------------------------------------------------- Fisher
