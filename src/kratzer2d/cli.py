@@ -352,6 +352,7 @@ def cmd_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kratzer2d",
+        allow_abbrev=False,
         description="Bound states and information measures of a planar "
         "Kratzer-type molecular potential with a dipole term and a "
         "magnetic-flux line.",
@@ -412,14 +413,22 @@ def _config_token(value) -> str:
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """argv with the flag values of a --config JSON file put after the subcommand.
 
-    Each entry becomes ``--flag=value`` right after the subcommand name, so
-    it goes through the flag's type and choices, and the same flag given
-    later on the command line wins.  A null entry leaves its flag at the
-    default.  The parser itself is left as it is.
+    --config is a top-level option, so it is read as the parser reads it:
+    from the tokens before the subcommand only, under its full name (the
+    parser takes no abbreviations).  Anywhere else it is left to the parser,
+    which reports it as a usage error.  Each entry becomes ``--flag=value``
+    right after the subcommand name, so it goes through the flag's type and
+    choices, and the same flag given later on the command line wins.  A null
+    entry leaves its flag at the default.  The parser itself is left as it is.
     """
+    subparsers = next(action.choices
+                      for action in parser._subparsers._group_actions  # noqa: SLF001
+                      if isinstance(action, argparse._SubParsersAction))  # noqa: SLF001
+    command = next((i for i, token in enumerate(argv) if token in subparsers
+                    and (i == 0 or argv[i - 1] != "--config")), len(argv))
     path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
+    for i, token in enumerate(argv[:command]):
+        if token == "--config" and i + 1 < command:
             path = argv[i + 1]
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
@@ -433,18 +442,16 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     # each subcommand's flags by destination
     flags = {name: {a.dest: a.option_strings[-1]
                     for a in sub._actions if a.option_strings}  # noqa: SLF001
-             for action in parser._subparsers._group_actions  # noqa: SLF001
-             if isinstance(action, argparse._SubParsersAction)  # noqa: SLF001
-             for name, sub in action.choices.items()}
+             for name, sub in subparsers.items()}
     unknown = sorted(set(config).difference(*flags.values()))
     if unknown:
         raise ValueError(f"--config keys {unknown} name no flag of any subcommand")
-    for i, token in enumerate(argv):
-        if token in flags and (i == 0 or argv[i - 1] != "--config"):
-            given = [f"{flags[token][k]}={_config_token(v)}"
-                     for k, v in config.items() if k in flags[token] and v is not None]
-            return argv[:i + 1] + given + argv[i + 1:]
-    return argv
+    if command == len(argv):
+        return argv  # no subcommand: the parser reports it
+    own = flags[argv[command]]
+    given = [f"{own[k]}={_config_token(v)}"
+             for k, v in config.items() if k in own and v is not None]
+    return argv[:command + 1] + given + argv[command + 1:]
 
 
 # The parser of every main() call in this process, built on the first one.

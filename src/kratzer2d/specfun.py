@@ -1,16 +1,21 @@
 """Self-contained special functions for the 2D Kratzer-dipole solver.
 
-Everything here is a pure function of its arguments, in float64.
-Log-gamma and digamma use an upward recurrence shift to x >= 8 followed
+Everything here is a pure function of its arguments, in float64
+unless stated.  Log-gamma and digamma use an upward recurrence shift to x >= 8 followed
 by the asymptotic (de Moivre) expansion, so the module does not lean on
 library special functions.  The fractional-order Mathieu characteristic
 number comes in two independent flavours: the truncated power series in
 the coupling ``b`` and a symmetric tridiagonal eigenproblem that serves
 as its cross-check.  ``gamma0`` evaluates the terminating
 Lauricella-type coefficient that linearises even powers of Laguerre
-polynomials; its alternating rational core is accumulated exactly and
-the result reported in log-magnitude/sign form, because the terms both
-overflow float64 and cancel by ten or more digits in naive form.
+polynomials.  Its terms overflow float64 and cancel by about q n
+decimal digits, so its alternating core is summed in fixed point on
+Python integers, at a precision chosen from q n before the sum and
+confirmed after it by a proven bound on the accumulated rounding (the
+sum is redone at a higher precision if the bound is not met).  The
+result is reported in log-magnitude/sign form, and CancellationWarning
+still flags a sum that lands below 1e-10 of its largest term, where
+naive float64 would fail.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -304,28 +308,110 @@ def mathieu_even_solution(m_eff: float, b: float) -> MathieuEvenSolution:
             K = min(2 * K, 3200)
 
 
-def _hyp1f1_neg_scaled(n: int, c: Fraction) -> tuple[list[int], int]:
-    """Integer-scaled coefficients of 1F1(-n; c; x), a degree-n polynomial.
+def _start_bits(q: int, n: int) -> int:
+    """Starting precision P, in bits, of the fixed-point gamma0 sum.
 
-    Returns (U, Q) with coefficient k equal to U[k] / Q, over the common
-    denominator Q = prod_{j<n} (num + j den) for c = num/den.  Exact
-    integers: these coefficients feed an alternating sum whose
-    cancellation would otherwise amplify float64 rounding of each term.
+    The P that log_gamma0 accepts grows like 6 q n bits (about 80 bits
+    at small q n); this start leaves a margin over that, so the sum
+    rarely runs twice.
     """
-    num, den = c.numerator, c.denominator
-    suffix = [1] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix[j] = suffix[j + 1] * (num + j * den)
-    U = [(-1) ** k * math.comb(n, k) * den**k * suffix[k] for k in range(n + 1)]
-    return U, suffix[0]
+    return 7 * q * n + 96
 
 
-def _int_log(v: int) -> float:
-    """Natural log of a positive integer far outside float64 range."""
-    shift = v.bit_length() - 64
-    if shift <= 0:
-        return math.log(v)
-    return math.log(v >> shift) + shift * math.log(2.0)
+def _pack(coeffs: list[int], width: int) -> int:
+    """sum_i coeffs[i] 2^(width i) for |coeffs[i]| < 2^(width - 1).
+
+    Each coefficient goes in with a bias of 2^(width - 1), so every slot
+    is a nonnegative field and the bytes join in one pass; the bias
+    comes off as one shifted repunit.  ``width`` is a multiple of 8.
+    """
+    size = width // 8
+    half = 1 << (width - 1)
+    raw = b"".join((c + half).to_bytes(size, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - (_repunit(len(coeffs), size) << (width - 1))
+
+
+def _unpack(value: int, length: int, width: int) -> list[int]:
+    """The ``length`` signed slots of ``value``, as :func:`_pack` lays them out."""
+    size = width // 8
+    half = 1 << (width - 1)
+    raw = (value + (_repunit(length, size) << (width - 1))).to_bytes(size * length, "little")
+    return [int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(0, size * length, size)]
+
+
+def _repunit(length: int, size: int) -> int:
+    """sum_i 2^(8 size i) for i < length."""
+    return int.from_bytes((b"\x01" + bytes(size - 1)) * length, "little")
+
+
+def _fixed_mul(a: tuple, b: tuple, bits: int) -> tuple[list[int], int, int]:
+    """Product of two fixed-point polynomials at scale 2^-bits, with its error bound.
+
+    Each operand is (coeffs, err, norm): integer coefficients that stand
+    for coeffs * 2^-bits, an upper bound on their l1 distance from the
+    exact polynomial, and their l1 norm, the last two in units of
+    2^-bits.  The coefficients are multiplied as one big integer with a
+    signed slot each (Kronecker substitution), wide enough that no slot
+    of the product overflows, and each product coefficient is floored
+    back to scale 2^-bits.  With A* and B* the exact polynomials,
+    A B - A* B* = (A - A*) B + A* (B - B*), ||x * y||_1 <= ||x||_1 ||y||_1
+    and ||A*||_1 <= norm_A + err_A, so the product is off by at most
+    (err_A norm_B + (norm_A + err_A) err_B) 2^-bits units plus one unit
+    per coefficient for the floor.
+    """
+    (A, err_a, norm_a), (B, err_b, norm_b) = a, b
+    length = len(A) + len(B) - 1
+    slot = (max(map(abs, A)).bit_length() + max(map(abs, B)).bit_length()
+            + min(len(A), len(B)).bit_length() + 1)
+    width = -(-slot // 8) * 8
+    packed = _pack(A, width)
+    product = packed * packed if a is b else packed * _pack(B, width)
+    C = [c >> bits for c in _unpack(product, length, width)]
+    err = -(-(err_a * norm_b + (norm_a + err_a) * err_b) >> bits) + length
+    return C, err, sum(map(abs, C))
+
+
+def _gamma0_sum(q: int, n: int, lam: float, bits: int) -> tuple[int, int, int, int]:
+    """The alternating gamma0 core F in fixed point; see :func:`log_gamma0`.
+
+    Returns (total, bound, largest, scale): F and its largest term are
+    total * 2^-scale and largest * 2^-scale, and |F - total 2^-scale| is
+    at most bound * 2^-scale.
+    """
+    num, den = (2.0 * lam).as_integer_ratio()
+    a_num = q * (num - den) + 2 * den  # a = a_num / den
+    k_max = 2 * q * n
+    # 2^e >= (a + K) / q for every K < k_max
+    top = a_num + (k_max - 1) * den
+    e = (-(-top // (q * den)) - 1).bit_length()
+    # V_k = (-1)^k C(n, k) 2^(e k) / (2 lam)_k, floored at scale 2^-bits,
+    # with (2 lam)_k = prod_{j<k} (num + j den) / den^k
+    V, poch = [], 1
+    for k in range(n + 1):
+        V.append(((-1) ** k * math.comb(n, k) * den**k << (e * k + bits)) // poch)
+        poch *= num + k * den
+    base = (V, n + 1, sum(map(abs, V)))
+    power, exponent = None, 2 * q
+    while True:
+        if exponent & 1:
+            power = base if power is None else _fixed_mul(power, base, bits)
+        exponent >>= 1
+        if not exponent:
+            break
+        base = _fixed_mul(base, base, bits)
+    C, err, norm = power
+    # w_K = (a)_K (q 2^e)^-K <= 1, stepped at scale 2^-w_bits
+    w_bits = max(map(abs, C)).bit_length() + (k_max * len(C)).bit_length()
+    w, step = 1 << w_bits, q * den << e
+    total = largest = 0
+    for K, c in enumerate(C):
+        term = c * w
+        total += term
+        largest = max(largest, abs(term))
+        w = w * (a_num + K * den) // step
+    bound = (err << w_bits) + (norm + err) * k_max
+    return total, bound, largest, bits + w_bits
 
 
 def log_gamma0(q: int, n: int, lam: float) -> tuple[float, float]:
@@ -338,19 +424,44 @@ def log_gamma0(q: int, n: int, lam: float) -> tuple[float, float]:
     sum over k_1..k_2q in [0, n]; the extra variable of the underlying
     (2q+1)-fold series only contributes its k = 0 term because its
     numerator parameter is zero.  Grouping the sum by total degree
-    K = k_1 + ... + k_2q turns the inner sums into iterated polynomial
-    convolutions, leaving F = sum_K (a)_K q^(-K) c_K with c_K of sign
-    (-1)^K.  That alternating sum can cancel down to 1e-14 of its largest
-    term, so the rational part is accumulated exactly (the coefficients
-    are rational in lam and q) and only converted to log-magnitude/sign
-    at the end, by one log of the integer ratio (a 64-bit quotient and
-    its binary exponent), so ln F is rounded once.  The smooth Gamma
-    prefactors stay in float log space; at large lam they limit the
-    accuracy instead (the prefactor's log is ~1.4e3 at lam = 40, whose
-    rounding alone is ~1e-13 absolute).
+    K = k_1 + ... + k_2q turns the inner sums into the coefficients c_K
+    of the 2q-th power of the polynomial 1F1(-n; 2 lam; x), leaving
+    F = sum_K (a)_K q^(-K) c_K with c_K of sign (-1)^K.
+
+    That alternating sum cancels by about q n decimal digits, so it runs
+    on Python integers at a common scale 2^-P (fixed point):
+
+    - 2 lam = num / den exactly (den a power of two).  The variable is
+      rescaled, x -> 2^e x with 2^e >= (a + K) / q for every K < 2 q n,
+      so each weight w_K = (a)_K q^-K 2^(-e K) is at most 1, and each
+      term c_K 2^(e K) w_K keeps its value.
+    - The coefficients (-1)^k C(n, k) 2^(e k) / (2 lam)_k are floored at
+      scale 2^-P, less than one unit off each, and raised to the power
+      2q by squaring; :func:`_fixed_mul` carries an l1 bound E on the
+      coefficients' error through each product.
+    - The weights are stepped in fixed point, w_(K+1) = w_K (a + K) /
+      (q 2^e), at a scale 2^-P_w fine enough to resolve the largest
+      coefficient.  Each step floors (under one unit) and multiplies by a
+      ratio of at most 1, so weight K is off by less than K units and
+      never exceeds its exact value, 1 at most.
+    - Summing coefficient times weight, |sum - F| <= E 2^-P
+      + (N + E) 2^-P 2 q n 2^-P_w, with N the l1 norm of the computed
+      coefficients in units of 2^-P.  The sum is accepted only when its
+      magnitude is at least 2^60 times that bound, which fixes the sign
+      and leaves F a relative error below 2^-60.  Otherwise it runs
+      again with P raised by the bits it lacked; no sum that failed the
+      check is returned.  P starts from :func:`_start_bits` (q n).
+
+    The binomial C(2 lam + n - 1, n)^(2q) is a ratio of integers too, so
+    it multiplies F exactly and ln (C^(2q) F) comes from one quotient and
+    a binary exponent: it is rounded once and not as large logs that
+    cancel (2q times a float log of the binomial would leave up to 5e-14
+    at lam = 0.55).  Only ln Gamma(a) stays in float log space; at large
+    lam it limits the accuracy instead (it is ~1.1e3 at q = 3, lam = 40,
+    whose rounding alone is ~1e-13 absolute).
     Emits CancellationWarning when the sum lands below 1e-10 of its
-    largest term — the result is still fully accurate, the warning
-    flags that naive float64 evaluation would not be.
+    largest term: the result is still accurate to the bound above, the
+    warning flags that naive float64 evaluation would not be.
     """
     if q < 1 or q != int(q):
         raise ValueError(f"gamma0 requires integer q >= 1, got {q}")
@@ -361,55 +472,33 @@ def log_gamma0(q: int, n: int, lam: float) -> tuple[float, float]:
         raise ValueError(f"gamma0 requires lam > 1/2, got {lam}")
     q = int(q)
     n = int(n)
-    a = q * (2.0 * lam - 1.0) + 2.0
-    log_binom = log_gamma(2.0 * lam + n) - log_gamma(n + 1.0) - log_gamma(2.0 * lam)
-    base = log_gamma(a) + 2.0 * q * log_binom
+    log_gamma_a = log_gamma(q * (2.0 * lam - 1.0) + 2.0)
     if n == 0:
-        return base, 1.0
-    two_lam = 2 * Fraction(lam)
-    U, Q = _hyp1f1_neg_scaled(n, two_lam)
-    conv = [1]
-    for _ in range(2 * q):
-        conv = [
-            sum(conv[i] * U[ki - i] for i in range(max(0, ki - n), min(ki, len(conv) - 1) + 1))
-            for ki in range(len(conv) + n)
-        ]
-    # a = q (2 lam - 1) + 2 = (q (num - den) + 2 den) / den over 2 lam = num/den
-    num, den = two_lam.numerator, two_lam.denominator
-    a_num = q * (num - den) + 2 * den
-    # term_K = (a)_K q^-K conv_K / Q^2q; common denominator (den q)^Kmax den^-... :
-    # (a)_K = prod_{j<K} (a_num + j den) / den^K, so with weight (den q)^(Kmax-K)
-    # every term is an integer over Q^2q (den q)^Kmax.
-    k_max = 2 * q * n
-    weight = den * q
-    powers = [1] * (k_max + 1)
-    for ki in range(k_max - 1, -1, -1):
-        powers[ki] = powers[ki + 1] * weight
-    poch = 1
-    total = 0
-    largest = 0
-    for ki, coeff in enumerate(conv):
-        term = poch * coeff * powers[ki]
-        total += term
-        largest = max(largest, abs(term))
-        poch *= a_num + ki * den
-    if total == 0:
-        return -math.inf, 0.0
+        return log_gamma_a, 1.0
+    bits = _start_bits(q, n)
+    while True:
+        total, bound, largest, scale = _gamma0_sum(q, n, lam, bits)
+        if abs(total) >= bound << 60:
+            break
+        bits += (bound << 60).bit_length() - abs(total).bit_length() + 32
     if abs(total) * 10**10 < largest:
-        lost = (_int_log(largest) - _int_log(abs(total))) / math.log(10.0)
+        lost = math.log10(largest) - math.log10(abs(total))
         warnings.warn(
             f"gamma0 sum cancelled {lost:.0f} digits at q = {q}, n = {n}, "
-            f"lam = {lam:g}; evaluated exactly",
+            f"lam = {lam:g}",
             CancellationWarning,
             stacklevel=2,
         )
-    # F = |total| / denom as one 64-bit quotient times 2^shift, so it is
-    # rounded once instead of as three large logs that cancel
-    num, denom = abs(total), Q ** (2 * q) * weight**k_max
-    shift = num.bit_length() - denom.bit_length() - 64
-    scaled = num >> shift if shift >= 0 else num << -shift
-    log_f = math.log(scaled // denom) + shift * math.log(2.0)
-    return base + log_f, 1.0 if total > 0 else -1.0
+    # C(2 lam + n - 1, n) = prod_{j<n} (num + j den) / (den^n n!) exactly
+    num, den = (2.0 * lam).as_integer_ratio()
+    top = abs(total) * math.prod(num + j * den for j in range(n)) ** (2 * q)
+    bottom = (den**n * math.factorial(n)) ** (2 * q)
+    # top / bottom as a 54- or 55-bit quotient m times 2^shift: log(m 2^-54)
+    # lies in [-ln 2, ln 2), so no large logs cancel
+    shift = top.bit_length() - bottom.bit_length() - 54
+    m = (top >> shift if shift >= 0 else top << -shift) // bottom
+    log_f = math.log(m / (1 << 54)) + (shift + 54 - scale) * math.log(2.0)
+    return log_gamma_a + log_f, 1.0 if total > 0 else -1.0
 
 
 def gamma0(q: int, n: int, lam: float) -> float:

@@ -300,18 +300,26 @@ class _MathieuProfile:
 
 
 @lru_cache(maxsize=256)
+def _cosine_profile(m: int) -> _CosineProfile:
+    """The cosine profile of order m, one object for every parameter set."""
+    return _CosineProfile(m)
+
+
+@lru_cache(maxsize=256)
 def angular_profile(params: SystemParams, m: int, mode: AngularMode):
     """Evaluatable angular profile for one state.
 
     ``.value`` / ``.derivative`` take any theta; ``._on_grid(n)`` gives
     both on the uniform n-point grid over one turn.  ``.integrals`` holds
-    the oracle's angular integrals of the profile by order q, so
-    ``cache_clear()`` drops them with the profile.
+    the oracle's angular integrals of the profile by order q.  The cosine
+    profile depends on m alone, so every parameter set shares it and its
+    integrals, which ``cache_clear()`` leaves in place; a Mathieu profile
+    and its integrals go with ``cache_clear()``.
     """
     if m < 0:
         raise ValueError(f"angular order m must be >= 0, got {m}")
     if mode is AngularMode.PAPER_COSINE:
-        return _CosineProfile(m)
+        return _cosine_profile(m)
     return _MathieuProfile(m + params.delta, mathieu_coupling(params))
 
 

@@ -37,15 +37,18 @@ def mp_laguerre_power_moment():
     """mpmath int_0^inf u^alpha e^-u [L_n^(2 lam - 1)(u / q)]^2q du, integer q.
 
     alpha = q (2 lam - 1) + 1.  [L_n(u / q)]^2q is expanded as a
-    polynomial in 250-digit arithmetic and integrated term by term,
-    int u^(alpha + j) e^-u du = Gamma(alpha + j + 1).  The expansion
-    cancels heavily (about 150 digits at q n = 150; at 150 digits the
-    result is wrong in the 10th digit at q n = 144).
+    polynomial in ``dps``-digit arithmetic (250 by default) and integrated
+    term by term, int u^(alpha + j) e^-u du = Gamma(alpha + j + 1).  The
+    expansion cancels about q n digits (about 150 at q n = 150; at 150
+    digits the result is wrong in the 10th digit at q n = 144).  The
+    default 250 digits hold at q n = 230 and fail near q n = 250 (the log
+    is off by 6e-4 at q = 5, n = 50, lam = 3.7); pass a larger ``dps``
+    there.
     """
     mpmath = pytest.importorskip("mpmath")
 
-    def moment(q, n, lam):
-        with mpmath.workdps(250):
+    def moment(q, n, lam, dps=250):
+        with mpmath.workdps(dps):
             a = 2 * mpmath.mpf(lam) - 1
             lag = [(-1) ** i * mpmath.binomial(n + a, n - i) / mpmath.factorial(i)
                    for i in range(n + 1)]

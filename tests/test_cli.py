@@ -285,6 +285,28 @@ def test_config_key_naming_no_flag_exits_1(tmp_path, capsys):
     assert captured.err == "error: --config keys ['nn'] name no flag of any subcommand\n"
 
 
+def test_config_abbreviation_is_a_usage_error(tmp_path, capsys):
+    # The top-level parser takes no abbreviations, so --conf is not read
+    # as --config, and the file is not skipped without a word either.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2}))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--conf", str(cfg), "compute", "--De", "1", "--re", "1",
+              "--measure", "energy"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_config_after_the_subcommand_is_a_usage_error(tmp_path, capsys):
+    # --config belongs to the top-level parser, which reads it only before
+    # the subcommand; after it, the file is not opened at all.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["compute", "--De", "1", "--re", "1",
+              "--config", str(tmp_path / "nope.json")])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
 def test_validate_single_check_passes(capsys):
     code = main(["validate", "--checks", "renyi-limit"])
     assert code == 0

@@ -199,6 +199,28 @@ def test_angular_integrals_are_taken_once_per_profile_and_order(dipole_params, m
         assert len(grids) > seen  # a cleared cache takes the grid again
 
 
+def test_cosine_profile_is_shared_by_parameter_sets_of_equal_m(std_params, dipole_params):
+    # The cosine profile depends on m alone, so its angular sums are taken
+    # once per (m, q) and not once per parameter set; what a state prints
+    # does not depend on which state filled them first.
+    cosine = AngularMode.PAPER_COSINE
+    measures = ["fisher", "shannon", "tsallis"]  # Shannon is the quadrature
+    state = solve_state(dipole_params, StateSpec(2, 2), mode=cosine)
+    system.angular_profile.cache_clear()
+    system._cosine_profile.cache_clear()
+    alone = evaluate(dipole_params, state, measures, 3)
+    system.angular_profile.cache_clear()
+    system._cosine_profile.cache_clear()
+    profile = system.angular_profile(std_params, 2, cosine)
+    assert system.angular_profile(dipole_params, 2, cosine) is profile
+    assert system.angular_profile(dipole_params, 1, cosine) is not profile
+    evaluate(std_params, solve_state(std_params, StateSpec(0, 2), mode=cosine), measures, 3)
+    sums = dict(profile.integrals)
+    assert sums
+    assert evaluate(dipole_params, state, measures, 3) == alone
+    assert profile.integrals == sums
+
+
 # ------------------------------------------------------------------- Fisher
 
 

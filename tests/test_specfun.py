@@ -5,8 +5,9 @@ recurrence against scipy.special.eval_genlaguerre; the Mathieu matrix
 route against scipy.special.mathieu_a at integer orders (where scipy
 applies) and against its own three-term recurrence residual at
 fractional orders; gamma0 against Gauss-Laguerre quadrature of its
-defining integral, closed-form reductions, and an exact-Fraction
-brute-force sum of the terminating multi-index series.
+defining integral, closed-form reductions, an exact-Fraction
+brute-force sum of the terminating multi-index series, and an mpmath
+expansion of the defining integral.
 """
 
 import math
@@ -396,6 +397,53 @@ def test_gamma0_log_matches_mpmath_moment_sum(n, mp_laguerre_power_moment):
     lg, sign = log_gamma0(3, n, 3.7)
     assert sign == 1.0
     assert lg == pytest.approx(ref, rel=0, abs=2e-14)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_gamma0_fixed_point_sum_matches_mpmath_grid(q, mp_laguerre_power_moment):
+    # The fixed-point sum over the closed forms' range (q n <= 100), from
+    # lam near its floor of 1/2 to a deep well.
+    import mpmath
+
+    for n in (1, 4, 12, 20):
+        for lam in (0.55, 1.9142135623730951, 12.0):
+            ref = float(mpmath.log(mp_laguerre_power_moment(q, n, lam)))
+            lg, sign = log_gamma0(q, n, lam)
+            assert sign == 1.0
+            assert abs(lg - ref) <= 1e-14 * max(1.0, abs(ref)), (q, n, lam)
+
+
+@pytest.mark.parametrize("q, n, dps", [(5, 50, 300), (8, 50, 450)])
+def test_gamma0_fixed_point_sum_at_large_q_n(q, n, dps, mp_laguerre_power_moment):
+    # About q n digits cancel here, past what the reference's default 250
+    # digits resolve, so it runs at q n + 50 digits.
+    import mpmath
+
+    ref = float(mpmath.log(mp_laguerre_power_moment(q, n, 3.7, dps=dps)))
+    lg, sign = log_gamma0(q, n, 3.7)
+    assert sign == 1.0
+    assert abs(lg - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_gamma0_redoes_a_sum_that_fails_its_bound(monkeypatch):
+    # A starting precision far too small fails the error bound; the sum
+    # runs again at the precision the bound asks for, and the value is
+    # the one the normal start gives.
+    from kratzer2d import specfun
+
+    args = (3, 12, 1.9142135623730951)
+    normal = log_gamma0(*args)
+    precisions = []
+    fixed_point_sum = specfun._gamma0_sum
+
+    def recording(q, n, lam, bits):
+        precisions.append(bits)
+        return fixed_point_sum(q, n, lam, bits)
+
+    monkeypatch.setattr(specfun, "_gamma0_sum", recording)
+    monkeypatch.setattr(specfun, "_start_bits", lambda q, n: 8)
+    assert log_gamma0(*args) == normal
+    assert len(precisions) == 2 and precisions[0] == 8 < precisions[1]
 
 
 def test_gamma0_positive_across_grid():
