@@ -173,7 +173,9 @@ def angular_integrals_numeric(
     The result is stored on the cached profile under float(q) and
     returned from there on later calls, so each (profile, q) takes one
     grid; Fisher and Shannon use only some of the four sums, but taking
-    them apart would cost more grids than the unused sums do.
+    them apart would cost more grids than the unused sums do.  A Mathieu
+    profile fixes its pi-normalisation from the first of these grids, so
+    a profile asked for k orders samples exactly k grids.
     """
     profile = angular_profile(params, m, mode)
     key = float(q)

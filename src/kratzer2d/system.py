@@ -253,9 +253,13 @@ class _CosineProfile:
 class _MathieuProfile:
     """Even Floquet solution of order 2 (m + delta), evaluated at z = theta / 2.
 
-    Rescaled so that the profile squared integrates to pi over one turn,
-    matching the cosine convention.  Its frequencies are m + delta + k
-    for integer k.
+    Rescaled from its first grid so that the profile squared integrates
+    to pi over one turn (the ANGULAR_GRID-node trapezoid sum), matching
+    the cosine convention.  Building a profile samples no grid: the first
+    ``_on_grid(ANGULAR_GRID)`` call fixes ``scale`` from the grid it
+    returns, and a caller that arrives before it (``value``,
+    ``derivative``, ``_on_grid`` at another n) has that grid sampled for
+    the scale first.  Its frequencies are m + delta + k for integer k.
     """
 
     def __init__(self, m_eff: float, b: float):
@@ -267,10 +271,14 @@ class _MathieuProfile:
         self.k = k[keep]
         self.freqs = self.carrier + self.k
         self.coeffs = sol.coeffs[keep]
-        self.scale = 1.0
-        raw_sq = (2.0 * math.pi / ANGULAR_GRID) * float(
-            np.sum(self._on_grid(ANGULAR_GRID)[0] ** 2))
-        self.scale = math.sqrt(math.pi / raw_sq)
+        self._scale: float | None = None
+
+    @property
+    def scale(self) -> float:
+        """sqrt(pi / (h sum raw^2)) over the ANGULAR_GRID-node grid."""
+        if self._scale is None:
+            self._on_grid(ANGULAR_GRID)
+        return self._scale
 
     def value(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -281,22 +289,25 @@ class _MathieuProfile:
         return -self.scale * (np.sin(np.outer(theta, self.freqs)) * self.freqs) @ self.coeffs
 
     def _on_grid(self, n: int):
-        """(Phi, Phi') at theta_j = 2 pi j / n, j = 0..n-1, by one inverse FFT.
+        """(Phi, Phi') at theta_j = 2 pi j / n, j = 0..n-1, one inverse FFT per row.
 
         On the grid e^(i (carrier + k) theta_j) = e^(i carrier theta_j)
         e^(2 pi i k j / n), so both sums over k are length-n inverse DFTs
         with the coefficient of k at index k mod n.  The indices wrap when
         the profile has more than n terms; bincount adds the colliding
-        terms, where index assignment would keep only one of them.
+        terms, where index assignment would keep only one of them.  The
+        grid is not kept on the profile.
         """
         slots = self.k % n
-        spectra = np.stack([
-            np.bincount(slots, weights=self.coeffs, minlength=n),
-            np.bincount(slots, weights=self.coeffs * self.freqs, minlength=n),
-        ])
         theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        sums = n * np.exp(1j * self.carrier * theta) * np.fft.ifft(spectra)
-        return self.scale * sums[0].real, -self.scale * sums[1].imag
+        carrier = n * np.exp(1j * self.carrier * theta)
+        phi = carrier * np.fft.ifft(np.bincount(slots, weights=self.coeffs, minlength=n))
+        dphi = carrier * np.fft.ifft(
+            np.bincount(slots, weights=self.coeffs * self.freqs, minlength=n))
+        if self._scale is None and n == ANGULAR_GRID:
+            raw_sq = (2.0 * math.pi / ANGULAR_GRID) * float(np.sum(phi.real ** 2))
+            self._scale = math.sqrt(math.pi / raw_sq)
+        return self.scale * phi.real, -self.scale * dphi.imag
 
 
 @lru_cache(maxsize=256)
@@ -314,7 +325,9 @@ def angular_profile(params: SystemParams, m: int, mode: AngularMode):
     the oracle's angular integrals of the profile by order q.  The cosine
     profile depends on m alone, so every parameter set shares it and its
     integrals, which ``cache_clear()`` leaves in place; a Mathieu profile
-    and its integrals go with ``cache_clear()``.
+    and its integrals go with ``cache_clear()``.  Building a Mathieu
+    profile samples no grid; it is pi-normalised from its first
+    ANGULAR_GRID grid, and no grid is cached.
     """
     if m < 0:
         raise ValueError(f"angular order m must be >= 0, got {m}")

@@ -31,6 +31,16 @@ renyi: R_2=3.270189636 (W_2=0.03799922037)
 energy: E=-0.5458197144 E_total=0.4541802856
 """
 
+MATHIEU_Q3_GOLDEN = """\
+state: n=2 m=1 delta=0.2 D=0.3 mode=mathieu method=matrix
+parameters: De=3 re=1 mu=1 (explicit parameters)
+solution: b=1.2 E_theta=-1.440323092 lambda=3.235017933 beta=1.146127879
+fisher: I=2.971321926 (radial I1=2.509273382, angular I2=0.4620485439; quadrature)
+entropic moment: W_3=6.160423787e-05
+tsallis: T_3=0.4999691979 (W_3=6.160423787e-05)
+renyi: R_3=4.847389947 (W_3=6.160423787e-05)
+"""
+
 SWEEP_GOLDEN = """\
 var,value,measure,delta,n,m
 De,0.5,0.2332361516,0,2,0
@@ -68,6 +78,18 @@ def test_compute_mathieu_mode_routes_to_quadrature(capsys):
     assert ("fisher: I=2.894468261 (radial I1=1.852192656, "
             "angular I2=1.042275605; quadrature)") in out
     assert "entropic moment: W_2=0.004611989346" in out
+
+
+def test_compute_mathieu_second_order_golden(capsys):
+    # Fisher's angular sums are taken at q = 2 and W_3 needs a second grid
+    # of the same profile, which the q = 2 test above never reaches.
+    code = main(
+        ["compute", "--De", "3", "--re", "1", "--D", "0.3", "--delta", "0.2",
+         "--n", "2", "--m", "1", "--mode", "mathieu", "--method", "matrix",
+         "--measure", "fisher,wq,tsallis,renyi", "--q", "3"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == MATHIEU_Q3_GOLDEN
 
 
 def test_compute_mathieu_shannon_omits_the_cosine_closed_form(capsys):

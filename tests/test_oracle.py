@@ -169,7 +169,8 @@ def test_angular_integrals_mathieu_flux_shifts_baseline(dipole_params):
 
 def test_angular_integrals_are_taken_once_per_profile_and_order(dipole_params, monkeypatch):
     # Fisher (its q = 2 sums), then W_q, Tsallis and Renyi at q = 3, each
-    # asked for alone: the profile's normalisation plus one grid per order.
+    # asked for alone: one grid per order, the first of which also
+    # normalises the profile.
     grids = []
     on_grid = system._MathieuProfile._on_grid
 
@@ -191,12 +192,34 @@ def test_angular_integrals_are_taken_once_per_profile_and_order(dipole_params, m
     for measure in ("fisher", "wq", "tsallis", "renyi"):
         evaluate(dipole_params, state, [measure], 3)
     assert len(returned) == 4
-    assert len(grids) <= 1 + 2
+    assert grids == [system.ANGULAR_GRID] * 2
     for args, kwargs, ints in returned:
         system.angular_profile.cache_clear()
         seen = len(grids)
         assert integrals(*args, **kwargs) == ints
         assert len(grids) > seen  # a cleared cache takes the grid again
+
+
+@pytest.mark.parametrize("q, expected", [(2, 1), (3, 2)])
+def test_mathieu_profile_samples_one_grid_per_order(dipole_params, monkeypatch, q, expected):
+    # Building the profile samples no grid; Fisher's q = 2 sums fix the
+    # scale from their own grid, and only a further order takes another.
+    grids = []
+    on_grid = system._MathieuProfile._on_grid
+
+    def counting_grid(profile, n):
+        grids.append(n)
+        return on_grid(profile, n)
+
+    monkeypatch.setattr(system._MathieuProfile, "_on_grid", counting_grid)
+    system.angular_profile.cache_clear()
+    mathieu = AngularMode.MATHIEU_NUMERIC
+    system.angular_profile(dipole_params, 2, mathieu)
+    assert grids == []
+    state = solve_state(dipole_params, StateSpec(2, 2), mode=mathieu)
+    for measure in ("fisher", "wq", "tsallis", "renyi"):
+        evaluate(dipole_params, state, [measure], q)
+    assert grids == [system.ANGULAR_GRID] * expected
 
 
 def test_cosine_profile_is_shared_by_parameter_sets_of_equal_m(std_params, dipole_params):

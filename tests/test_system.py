@@ -21,12 +21,18 @@ from kratzer2d import (
     UnboundAngularError,
     angular_eigenvalue,
     angular_function,
+    angular_integrals_numeric,
     density,
     make_params,
     solve_state,
 )
 from kratzer2d.specfun import mathieu_even_solution
-from kratzer2d.system import _MathieuProfile, angular_profile, mathieu_coupling
+from kratzer2d.system import (
+    ANGULAR_GRID,
+    _MathieuProfile,
+    angular_profile,
+    mathieu_coupling,
+)
 
 
 # ------------------------------------------------------------------- params
@@ -211,6 +217,33 @@ def test_mathieu_profile_grid_matches_pointwise(Dm, delta, m, n):
     ref, dref = profile.value(theta), profile.derivative(theta)
     assert np.max(np.abs(phi - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(dphi - dref)) <= 1e-13 * np.max(np.abs(dref))
+
+
+@pytest.mark.parametrize("first", ["value", "derivative", "grid32"])
+def test_mathieu_profile_scale_does_not_depend_on_the_first_caller(dipole_params, first):
+    # A never-sampled profile takes its scale from the ANGULAR_GRID sum,
+    # never from the grid or points it was first asked for, so it returns
+    # exactly what it returns once the oracle's sums have fixed the scale.
+    mathieu = AngularMode.MATHIEU_NUMERIC
+    theta = np.array([0.0, 0.3, 1.7, 4.0])
+    calls = {
+        "value": lambda profile: profile.value(theta),
+        "derivative": lambda profile: profile.derivative(theta),
+        "grid32": lambda profile: profile._on_grid(32),
+    }
+    angular_profile.cache_clear()
+    fresh = angular_profile(dipole_params, 2, mathieu)
+    early = calls[first](fresh)
+    angular_profile.cache_clear()
+    angular_integrals_numeric(dipole_params, 2, mathieu)
+    sampled = angular_profile(dipole_params, 2, mathieu)
+    assert sampled is not fresh
+    np.testing.assert_array_equal(calls[first](sampled), early)
+    assert fresh.scale == sampled.scale
+    h = 2.0 * math.pi / ANGULAR_GRID
+    for profile in (fresh, sampled):
+        norm = h * float(np.sum(profile._on_grid(ANGULAR_GRID)[0] ** 2))
+        assert norm == pytest.approx(math.pi, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("nu, b", [
