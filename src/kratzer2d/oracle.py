@@ -12,11 +12,12 @@ space, so that every weight keeps its relative accuracy down to the
 smallest (eigenvector components carry only absolute accuracy, which
 the doubled guard rule would then report as drift).  Angular integrals,
 for Fisher and the entropies alike and in both angular modes, are
-ANGULAR_GRID-node uniform trapezoid sums over one turn, the definition
-that the package and benchmarks/reference.py share;
-angular_integrals_numeric says how far they sit from the exact
-integrals.  The radial spectrum is re-derived with a finite-difference
-eigensolver that never touches the closed-form quantisation.  Large
+ANGULAR_GRID-node uniform trapezoid sums over one turn of the one
+profile class (cosine mode is its b = 0 case), the definition that the
+package and benchmarks/reference.py share; angular_integrals_numeric
+says how far they sit from the exact integrals.  The radial spectrum
+is re-derived with a finite-difference eigensolver that never touches
+the closed-form quantisation.  Large
 parameter scales are handled by keeping normalisation prefactors in log
 space; quadrature weights are normalised and their Gamma(alpha+1) mass
 carried separately.
@@ -42,6 +43,7 @@ from .system import (
     angular_eigenvalue,
     angular_profile,
     beta_param,
+    profile_key,
 )
 from .specfun import laguerre
 
@@ -173,11 +175,13 @@ def angular_integrals_numeric(
     The result is stored on the cached profile under float(q) and
     returned from there on later calls, so each (profile, q) takes one
     grid; Fisher and Shannon use only some of the four sums, but taking
-    them apart would cost more grids than the unused sums do.  A Mathieu
-    profile fixes its pi-normalisation from the first of these grids, so
-    a profile asked for k orders samples exactly k grids.
+    them apart would cost more grids than the unused sums do.  A profile
+    depends on (m + delta, b) alone (on m alone in cosine mode), so states
+    that differ only in De, re or mu share it and its sums.  It fixes its
+    pi-normalisation from the first of these grids, so a profile asked
+    for k orders samples exactly k grids.
     """
-    profile = angular_profile(params, m, mode)
+    profile = angular_profile(*profile_key(params, m, mode))
     key = float(q)
     if key in profile.integrals:
         return profile.integrals[key]

@@ -36,6 +36,7 @@ __all__ = [
     "angular_eigenvalue",
     "beta_param",
     "solve_state",
+    "profile_key",
     "angular_profile",
     "angular_function",
     "density",
@@ -225,41 +226,19 @@ def _log_norm_sq(n: int, lam: float, beta: float) -> float:
     )
 
 
-class _CosineProfile:
-    """cos(m theta) for m >= 1; the flat 1/sqrt(2) branch for m = 0."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.integrals: dict = {}  # oracle's angular integrals, by float(q)
-
-    def value(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if self.m == 0:
-            return np.full_like(theta, 1.0 / math.sqrt(2.0))
-        return np.cos(self.m * theta)
-
-    def derivative(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if self.m == 0:
-            return np.zeros_like(theta)
-        return -self.m * np.sin(self.m * theta)
-
-    def _on_grid(self, n: int):
-        """(Phi, Phi') at theta_j = 2 pi j / n, j = 0..n-1."""
-        theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        return self.value(theta), self.derivative(theta)
-
-
 class _MathieuProfile:
-    """Even Floquet solution of order 2 (m + delta), evaluated at z = theta / 2.
+    """Even Floquet solution of order 2 m_eff, evaluated at z = theta / 2.
 
     Rescaled from its first grid so that the profile squared integrates
-    to pi over one turn (the ANGULAR_GRID-node trapezoid sum), matching
-    the cosine convention.  Building a profile samples no grid: the first
+    to pi over one turn (the ANGULAR_GRID-node trapezoid sum).  At b = 0
+    the solution is the single term cos(m_eff theta), so cosine mode is
+    this profile at (m, 0): scale 1 for m >= 1 and the flat sqrt(1/2)
+    at m = 0.  Building a profile samples no grid: the first
     ``_on_grid(ANGULAR_GRID)`` call fixes ``scale`` from the grid it
     returns, and a caller that arrives before it (``value``,
     ``derivative``, ``_on_grid`` at another n) has that grid sampled for
-    the scale first.  Its frequencies are m + delta + k for integer k.
+    the scale first.  Its frequencies are m_eff + k for integer k;
+    ``value`` and ``derivative`` keep the shape of theta.
     """
 
     def __init__(self, m_eff: float, b: float):
@@ -282,11 +261,11 @@ class _MathieuProfile:
 
     def value(self, theta):
         theta = np.asarray(theta, dtype=float)
-        return self.scale * np.cos(np.outer(theta, self.freqs)) @ self.coeffs
+        return self.scale * np.cos(theta[..., None] * self.freqs) @ self.coeffs
 
     def derivative(self, theta):
         theta = np.asarray(theta, dtype=float)
-        return -self.scale * (np.sin(np.outer(theta, self.freqs)) * self.freqs) @ self.coeffs
+        return -self.scale * (np.sin(theta[..., None] * self.freqs) * self.freqs) @ self.coeffs
 
     def _on_grid(self, n: int):
         """(Phi, Phi') at theta_j = 2 pi j / n, j = 0..n-1, one inverse FFT per row.
@@ -310,36 +289,40 @@ class _MathieuProfile:
         return self.scale * phi.real, -self.scale * dphi.imag
 
 
-@lru_cache(maxsize=256)
-def _cosine_profile(m: int) -> _CosineProfile:
-    """The cosine profile of order m, one object for every parameter set."""
-    return _CosineProfile(m)
+def profile_key(
+    params: SystemParams, m: int, mode: AngularMode
+) -> tuple[float, float, AngularMode]:
+    """The ``angular_profile`` arguments for the angular factor of order m.
 
-
-@lru_cache(maxsize=256)
-def angular_profile(params: SystemParams, m: int, mode: AngularMode):
-    """Evaluatable angular profile for one state.
-
-    ``.value`` / ``.derivative`` take any theta; ``._on_grid(n)`` gives
-    both on the uniform n-point grid over one turn.  ``.integrals`` holds
-    the oracle's angular integrals of the profile by order q.  The cosine
-    profile depends on m alone, so every parameter set shares it and its
-    integrals, which ``cache_clear()`` leaves in place; a Mathieu profile
-    and its integrals go with ``cache_clear()``.  Building a Mathieu
-    profile samples no grid; it is pi-normalised from its first
-    ANGULAR_GRID grid, and no grid is cached.
+    Cosine mode is the b = 0 profile of order m, whatever the parameters;
+    Mathieu mode is the profile of order m + delta at b = 4 mu Dm.
     """
     if m < 0:
         raise ValueError(f"angular order m must be >= 0, got {m}")
     if mode is AngularMode.PAPER_COSINE:
-        return _cosine_profile(m)
-    return _MathieuProfile(m + params.delta, mathieu_coupling(params))
+        return float(m), 0.0, mode
+    return m + params.delta, mathieu_coupling(params), mode
+
+
+@lru_cache(maxsize=256)
+def angular_profile(m_eff: float, b: float, mode: AngularMode) -> _MathieuProfile:
+    """Evaluatable angular profile of order m_eff at coupling b.
+
+    Take the arguments from ``profile_key``.  ``.value`` / ``.derivative``
+    take any theta; ``._on_grid(n)`` gives both on the uniform n-point
+    grid over one turn.  ``.integrals`` holds the oracle's angular
+    integrals of the profile by order q, which go with the profile on
+    ``cache_clear()``.  ``mode`` stays in the key: the oracle's entropy
+    sum takes a Richardson step in cosine mode only, so at Dm = 0 and
+    integer m + delta, where both modes name the same function, they
+    must not share those integrals.
+    """
+    return _MathieuProfile(m_eff, b)
 
 
 def angular_function(params: SystemParams, m: int, mode: AngularMode, theta):
     """Angular profile Phi(theta); scalar in, scalar out."""
-    profile = angular_profile(params, m, mode)
-    out = profile.value(theta)
+    out = angular_profile(*profile_key(params, m, mode)).value(theta)
     return float(out) if np.isscalar(theta) else out
 
 
@@ -370,7 +353,7 @@ def density(params: SystemParams, solved: SolvedState, r, theta):
     scalar = r.ndim == 0 and np.isscalar(theta)
     x = 2.0 * solved.beta * np.atleast_1d(r)
     log_rad = log_radial_density(solved, x)
-    phi = angular_profile(params, solved.spec.m, solved.mode).value(np.atleast_1d(theta))
+    phi = angular_function(params, solved.spec.m, solved.mode, np.atleast_1d(theta))
     rad = np.exp(np.where(np.isfinite(log_rad), log_rad, -np.inf))
     out = rad * phi**2
     return float(out[0]) if scalar else out

@@ -26,7 +26,7 @@ from kratzer2d import (
     solve_state,
     wq_numeric,
 )
-from kratzer2d import oracle, system
+from kratzer2d import cli, oracle, system
 from kratzer2d.validation import evaluate
 
 
@@ -167,18 +167,25 @@ def test_angular_integrals_mathieu_flux_shifts_baseline(dipole_params):
     assert ints.ideriv == pytest.approx(ints0.ideriv, rel=2e-3)
 
 
-def test_angular_integrals_are_taken_once_per_profile_and_order(dipole_params, monkeypatch):
-    # Fisher (its q = 2 sums), then W_q, Tsallis and Renyi at q = 3, each
-    # asked for alone: one grid per order, the first of which also
-    # normalises the profile.
-    grids = []
+@pytest.fixture
+def grids(monkeypatch):
+    """The n of every profile grid sampled while the test runs."""
+    sampled = []
     on_grid = system._MathieuProfile._on_grid
 
     def counting_grid(profile, n):
-        grids.append(n)
+        sampled.append(n)
         return on_grid(profile, n)
 
     monkeypatch.setattr(system._MathieuProfile, "_on_grid", counting_grid)
+    return sampled
+
+
+def test_angular_integrals_are_taken_once_per_profile_and_order(dipole_params, grids,
+                                                                monkeypatch):
+    # Fisher (its q = 2 sums), then W_q, Tsallis and Renyi at q = 3, each
+    # asked for alone: one grid per order, the first of which also
+    # normalises the profile.
     returned = []
     integrals = oracle.angular_integrals_numeric
 
@@ -201,20 +208,12 @@ def test_angular_integrals_are_taken_once_per_profile_and_order(dipole_params, m
 
 
 @pytest.mark.parametrize("q, expected", [(2, 1), (3, 2)])
-def test_mathieu_profile_samples_one_grid_per_order(dipole_params, monkeypatch, q, expected):
+def test_mathieu_profile_samples_one_grid_per_order(dipole_params, grids, q, expected):
     # Building the profile samples no grid; Fisher's q = 2 sums fix the
     # scale from their own grid, and only a further order takes another.
-    grids = []
-    on_grid = system._MathieuProfile._on_grid
-
-    def counting_grid(profile, n):
-        grids.append(n)
-        return on_grid(profile, n)
-
-    monkeypatch.setattr(system._MathieuProfile, "_on_grid", counting_grid)
     system.angular_profile.cache_clear()
     mathieu = AngularMode.MATHIEU_NUMERIC
-    system.angular_profile(dipole_params, 2, mathieu)
+    system.angular_profile(*system.profile_key(dipole_params, 2, mathieu))
     assert grids == []
     state = solve_state(dipole_params, StateSpec(2, 2), mode=mathieu)
     for measure in ("fisher", "wq", "tsallis", "renyi"):
@@ -230,18 +229,58 @@ def test_cosine_profile_is_shared_by_parameter_sets_of_equal_m(std_params, dipol
     measures = ["fisher", "shannon", "tsallis"]  # Shannon is the quadrature
     state = solve_state(dipole_params, StateSpec(2, 2), mode=cosine)
     system.angular_profile.cache_clear()
-    system._cosine_profile.cache_clear()
     alone = evaluate(dipole_params, state, measures, 3)
     system.angular_profile.cache_clear()
-    system._cosine_profile.cache_clear()
-    profile = system.angular_profile(std_params, 2, cosine)
-    assert system.angular_profile(dipole_params, 2, cosine) is profile
-    assert system.angular_profile(dipole_params, 1, cosine) is not profile
+    profile = system.angular_profile(*system.profile_key(std_params, 2, cosine))
+    assert system.angular_profile(*system.profile_key(dipole_params, 2, cosine)) is profile
+    assert system.angular_profile(*system.profile_key(dipole_params, 1, cosine)) is not profile
     evaluate(std_params, solve_state(std_params, StateSpec(0, 2), mode=cosine), measures, 3)
     sums = dict(profile.integrals)
     assert sums
     assert evaluate(dipole_params, state, measures, 3) == alone
     assert profile.integrals == sums
+
+
+@pytest.mark.parametrize("first", list(AngularMode))
+def test_modes_keep_apart_sums_where_their_profiles_agree(first):
+    # At Dm = 0 and integer m + delta both modes name cos(m theta), but the
+    # cosine entropy sum takes a Richardson step and the Mathieu one does
+    # not; each mode's Shannon entropy is what it is alone, whichever ran
+    # first.
+    params = make_params(De=3.0, re=1.0)
+    states = {mode: solve_state(params, StateSpec(1, 2), mode=mode) for mode in AngularMode}
+    alone = {}
+    for mode in AngularMode:
+        system.angular_profile.cache_clear()
+        alone[mode] = evaluate(params, states[mode], ["shannon"])
+    assert alone[AngularMode.PAPER_COSINE][1] != alone[AngularMode.MATHIEU_NUMERIC][1]
+    system.angular_profile.cache_clear()
+    second = next(mode for mode in AngularMode if mode is not first)
+    for mode in (first, second):
+        assert evaluate(params, states[mode], ["shannon"]) == alone[mode]
+
+
+def test_cache_clear_drops_cosine_profiles(std_params, grids):
+    state = solve_state(std_params, StateSpec(1, 2), mode=AngularMode.PAPER_COSINE)
+    system.angular_profile.cache_clear()
+    evaluate(std_params, state, ["shannon"])
+    evaluate(std_params, state, ["shannon"])
+    assert grids == [system.ANGULAR_GRID]
+    system.angular_profile.cache_clear()
+    evaluate(std_params, state, ["shannon"])
+    assert grids == [system.ANGULAR_GRID] * 2
+
+
+def test_mathieu_sweep_over_de_samples_one_grid(grids, capsys):
+    # A De sweep leaves m + delta and b = 4 mu Dm alone, so its 50 states
+    # share one profile and that profile's q = 2 sums.
+    system.angular_profile.cache_clear()
+    argv = ["sweep", "--var", "De", "--from", "1", "--to", "3", "--steps", "50",
+            "--D", "0.3", "--deltas", "0.2", "--n", "1", "--m", "2",
+            "--mode", "mathieu", "--measure", "fisher"]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 51
+    assert grids == [system.ANGULAR_GRID]
 
 
 # ------------------------------------------------------------------- Fisher

@@ -32,6 +32,7 @@ from kratzer2d.system import (
     _MathieuProfile,
     angular_profile,
     mathieu_coupling,
+    profile_key,
 )
 
 
@@ -190,6 +191,19 @@ def test_cosine_profile_values(std_params):
     assert np.allclose(vals, np.cos(2.0 * theta), atol=1e-15)
 
 
+@pytest.mark.parametrize("mode", list(AngularMode))
+def test_angular_function_keeps_the_shape_of_theta(dipole_params, mode):
+    theta = np.linspace(0.0, 2.0 * math.pi, 12).reshape(4, 3)
+    flat = angular_function(dipole_params, 2, mode, theta.ravel())
+    mesh = angular_function(dipole_params, 2, mode, theta)
+    assert mesh.shape == (4, 3)
+    np.testing.assert_allclose(mesh.ravel(), flat, rtol=1e-14, atol=1e-15)
+    one = angular_function(dipole_params, 2, mode, 0.3)
+    assert isinstance(one, float)
+    assert one == pytest.approx(
+        angular_function(dipole_params, 2, mode, np.array([0.3]))[0], rel=1e-14)
+
+
 def test_mathieu_profile_zero_coupling_is_shifted_cosine():
     # At b = 0 the even solution is a pure cos((m + delta) theta), up
     # to the normalization that fixes the squared integral at pi.
@@ -209,7 +223,7 @@ def test_mathieu_profile_zero_coupling_is_shifted_cosine():
 ])
 def test_mathieu_profile_grid_matches_pointwise(Dm, delta, m, n):
     params = make_params(De=3.0, re=1.0, Dm=Dm, delta=delta)
-    profile = angular_profile(params, m, AngularMode.MATHIEU_NUMERIC)
+    profile = angular_profile(*profile_key(params, m, AngularMode.MATHIEU_NUMERIC))
     if n == 32:
         assert profile.k.size > n
     theta = 2.0 * math.pi * np.arange(n) / n
@@ -232,11 +246,11 @@ def test_mathieu_profile_scale_does_not_depend_on_the_first_caller(dipole_params
         "grid32": lambda profile: profile._on_grid(32),
     }
     angular_profile.cache_clear()
-    fresh = angular_profile(dipole_params, 2, mathieu)
+    fresh = angular_profile(*profile_key(dipole_params, 2, mathieu))
     early = calls[first](fresh)
     angular_profile.cache_clear()
     angular_integrals_numeric(dipole_params, 2, mathieu)
-    sampled = angular_profile(dipole_params, 2, mathieu)
+    sampled = angular_profile(*profile_key(dipole_params, 2, mathieu))
     assert sampled is not fresh
     np.testing.assert_array_equal(calls[first](sampled), early)
     assert fresh.scale == sampled.scale
@@ -279,6 +293,18 @@ def test_density_scalar_and_shapes(dipole_params, dipole_state):
     r = np.linspace(0.1, 5.0, 11)
     vals = density(dipole_params, dipole_state, r, 0.3)
     assert vals.shape == (11,) and np.all(vals >= 0.0)
+
+
+@pytest.mark.parametrize("mode", list(AngularMode))
+def test_density_on_an_r_theta_mesh(dipole_params, mode):
+    state = solve_state(dipole_params, StateSpec(1, 2), mode=mode)
+    r, theta = np.meshgrid(np.linspace(0.5, 3.0, 4), np.linspace(0.1, 2.0, 3),
+                           indexing="ij")
+    mesh = density(dipole_params, state, r, theta)
+    assert mesh.shape == (4, 3)
+    points = [density(dipole_params, state, float(a), float(t))
+              for a, t in zip(r.ravel(), theta.ravel())]
+    np.testing.assert_allclose(mesh.ravel(), points, rtol=1e-13, atol=0)
 
 
 def test_density_angular_node(dipole_params, dipole_state):
