@@ -10,9 +10,11 @@ as its cross-check.  ``gamma0`` evaluates the terminating
 Lauricella-type coefficient that linearises even powers of Laguerre
 polynomials.  Its terms overflow float64 and cancel by about q n
 decimal digits, so its alternating core is summed in fixed point on
-Python integers, at a precision chosen from q n before the sum and
-confirmed after it by a proven bound on the accumulated rounding (the
-sum is redone at a higher precision if the bound is not met).  The
+Python integers: the polynomial is raised with every coefficient
+nonnegative, packed into one integer and floored slot by slot, at a
+precision chosen from (q, n, lam) before the sum and confirmed after it
+by a proven bound on the rounding, weighted coefficient by coefficient
+(the sum is redone at a higher precision if the bound is not met).  The
 result is reported in log-magnitude/sign form, and CancellationWarning
 still flags a sum that lands below 1e-10 of its largest term, where
 naive float64 would fail.
@@ -308,68 +310,29 @@ def mathieu_even_solution(m_eff: float, b: float) -> MathieuEvenSolution:
             K = min(2 * K, 3200)
 
 
-def _start_bits(q: int, n: int) -> int:
+def _start_bits(q: int, n: int, lam: float) -> int:
     """Starting precision P, in bits, of the fixed-point gamma0 sum.
 
-    The P that log_gamma0 accepts grows like 6 q n bits (about 80 bits
-    at small q n); this start leaves a margin over that, so the sum
-    rarely runs twice.
+    The P that log_gamma0 accepts is about 60 bits plus the bits the sum
+    cancels, which grow like q n times a factor that rises with lam / n:
+    about 3.1 q n near lam = 1/2 and 5.7 q n at lam = 150, n = 30.  This
+    fit, 62 + q n (3.1 + log2(1 + 2.5 lam / n)), is at or above the
+    accepted P at every point of q 1-8, n 1-30, lam 0.55-150 that it was
+    fitted on, by 5-10 bits on average, so the sum runs once; the check
+    after the sum still decides.
     """
-    return 7 * q * n + 96
+    return 62 + math.ceil(q * n * (3.1 + math.log2(1.0 + 2.5 * lam / n)))
 
 
-def _pack(coeffs: list[int], width: int) -> int:
-    """sum_i coeffs[i] 2^(width i) for |coeffs[i]| < 2^(width - 1).
+def _floor_mask(size: int, bits: int, length: int) -> int:
+    """Mask that clears the low ``bits`` bits of each of ``length`` slots.
 
-    Each coefficient goes in with a bias of 2^(width - 1), so every slot
-    is a nonnegative field and the bytes join in one pass; the bias
-    comes off as one shifted repunit.  ``width`` is a multiple of 8.
+    A slot is ``size`` bytes.  For slots holding nonnegative integers,
+    (x & mask) >> bits floors every slot at 2^bits at once: no slot
+    borrows from or carries into its neighbour.
     """
-    size = width // 8
-    half = 1 << (width - 1)
-    raw = b"".join((c + half).to_bytes(size, "little") for c in coeffs)
-    return int.from_bytes(raw, "little") - (_repunit(len(coeffs), size) << (width - 1))
-
-
-def _unpack(value: int, length: int, width: int) -> list[int]:
-    """The ``length`` signed slots of ``value``, as :func:`_pack` lays them out."""
-    size = width // 8
-    half = 1 << (width - 1)
-    raw = (value + (_repunit(length, size) << (width - 1))).to_bytes(size * length, "little")
-    return [int.from_bytes(raw[i:i + size], "little") - half
-            for i in range(0, size * length, size)]
-
-
-def _repunit(length: int, size: int) -> int:
-    """sum_i 2^(8 size i) for i < length."""
-    return int.from_bytes((b"\x01" + bytes(size - 1)) * length, "little")
-
-
-def _fixed_mul(a: tuple, b: tuple, bits: int) -> tuple[list[int], int, int]:
-    """Product of two fixed-point polynomials at scale 2^-bits, with its error bound.
-
-    Each operand is (coeffs, err, norm): integer coefficients that stand
-    for coeffs * 2^-bits, an upper bound on their l1 distance from the
-    exact polynomial, and their l1 norm, the last two in units of
-    2^-bits.  The coefficients are multiplied as one big integer with a
-    signed slot each (Kronecker substitution), wide enough that no slot
-    of the product overflows, and each product coefficient is floored
-    back to scale 2^-bits.  With A* and B* the exact polynomials,
-    A B - A* B* = (A - A*) B + A* (B - B*), ||x * y||_1 <= ||x||_1 ||y||_1
-    and ||A*||_1 <= norm_A + err_A, so the product is off by at most
-    (err_A norm_B + (norm_A + err_A) err_B) 2^-bits units plus one unit
-    per coefficient for the floor.
-    """
-    (A, err_a, norm_a), (B, err_b, norm_b) = a, b
-    length = len(A) + len(B) - 1
-    slot = (max(map(abs, A)).bit_length() + max(map(abs, B)).bit_length()
-            + min(len(A), len(B)).bit_length() + 1)
-    width = -(-slot // 8) * 8
-    packed = _pack(A, width)
-    product = packed * packed if a is b else packed * _pack(B, width)
-    C = [c >> bits for c in _unpack(product, length, width)]
-    err = -(-(err_a * norm_b + (norm_a + err_a) * err_b) >> bits) + length
-    return C, err, sum(map(abs, C))
+    return int.from_bytes(((1 << 8 * size) - (1 << bits)).to_bytes(size, "little") * length,
+                          "little")
 
 
 def _gamma0_sum(q: int, n: int, lam: float, bits: int) -> tuple[int, int, int, int]:
@@ -377,7 +340,7 @@ def _gamma0_sum(q: int, n: int, lam: float, bits: int) -> tuple[int, int, int, i
 
     Returns (total, bound, largest, scale): F and its largest term are
     total * 2^-scale and largest * 2^-scale, and |F - total 2^-scale| is
-    at most bound * 2^-scale.
+    at most bound * 2^-scale.  Needs 2^bits > 4 q - 1.
     """
     num, den = (2.0 * lam).as_integer_ratio()
     a_num = q * (num - den) + 2 * den  # a = a_num / den
@@ -385,33 +348,46 @@ def _gamma0_sum(q: int, n: int, lam: float, bits: int) -> tuple[int, int, int, i
     # 2^e >= (a + K) / q for every K < k_max
     top = a_num + (k_max - 1) * den
     e = (-(-top // (q * den)) - 1).bit_length()
-    # V_k = (-1)^k C(n, k) 2^(e k) / (2 lam)_k, floored at scale 2^-bits,
-    # with (2 lam)_k = prod_{j<k} (num + j den) / den^k
+    # V_k = C(n, k) 2^(e k) / (2 lam)_k, floored at scale 2^-bits, with
+    # (2 lam)_k = prod_{j<k} (num + j den) / den^k
     V, poch = [], 1
     for k in range(n + 1):
-        V.append(((-1) ** k * math.comb(n, k) * den**k << (e * k + bits)) // poch)
+        V.append((math.comb(n, k) * den**k << (e * k + bits)) // poch)
         poch *= num + k * den
-    base = (V, n + 1, sum(map(abs, V)))
+    # One slot per coefficient of the 2q-th power, wide enough for the
+    # last product before its floor: at most sum(V)^(2q) 2^(-bits (2q - 2))
+    length = k_max + 1
+    size = -(-(sum(V) ** (2 * q) >> bits * (2 * q - 2)).bit_length() // 8)
+    keep = _floor_mask(size, bits, length)
+    base = int.from_bytes(b"".join(v.to_bytes(size, "little") for v in V), "little")
     power, exponent = None, 2 * q
     while True:
         if exponent & 1:
-            power = base if power is None else _fixed_mul(power, base, bits)
+            power = base if power is None else (power * base & keep) >> bits
         exponent >>= 1
         if not exponent:
             break
-        base = _fixed_mul(base, base, bits)
-    C, err, norm = power
+        base = (base * base & keep) >> bits
+    raw = power.to_bytes(size * length, "little")
+    C = [int.from_bytes(raw[i:i + size], "little") for i in range(0, size * length, size)]
     # w_K = (a)_K (q 2^e)^-K <= 1, stepped at scale 2^-w_bits
-    w_bits = max(map(abs, C)).bit_length() + (k_max * len(C)).bit_length()
+    w_bits = max(C).bit_length() + (k_max * length).bit_length()
     w, step = 1 << w_bits, q * den << e
-    total = largest = 0
+    even = odd = largest = 0
     for K, c in enumerate(C):
         term = c * w
-        total += term
-        largest = max(largest, abs(term))
+        if K & 1:
+            odd += term
+        else:
+            even += term
+        if term > largest:
+            largest = term
         w = w * (a_num + K * den) // step
-    bound = (err << w_bits) + (norm + err) * k_max
-    return total, bound, largest, bits + w_bits
+    # each c_K is off by at most rho c*_K, rho = (4q - 1) 2^-bits, and
+    # each weight by under K units; sum_K c_K K <= k_max sum(C)
+    rho, weight_err = 4 * q - 1, k_max * sum(C)
+    bound = -(-rho * (even + odd + weight_err) // ((1 << bits) - rho)) + weight_err
+    return even - odd, bound, largest, bits + w_bits
 
 
 def log_gamma0(q: int, n: int, lam: float) -> tuple[float, float]:
@@ -435,22 +411,37 @@ def log_gamma0(q: int, n: int, lam: float) -> tuple[float, float]:
       rescaled, x -> 2^e x with 2^e >= (a + K) / q for every K < 2 q n,
       so each weight w_K = (a)_K q^-K 2^(-e K) is at most 1, and each
       term c_K 2^(e K) w_K keeps its value.
-    - The coefficients (-1)^k C(n, k) 2^(e k) / (2 lam)_k are floored at
-      scale 2^-P, less than one unit off each, and raised to the power
-      2q by squaring; :func:`_fixed_mul` carries an l1 bound E on the
-      coefficients' error through each product.
+    - The polynomial is taken at -x: its coefficients
+      |V_k| = C(n, k) 2^(e k) / (2 lam)_k are all positive, so are those
+      of its 2q-th power, |c_K|, and the sign (-1)^K goes back in at the
+      weighted sum.  2^e >= 2 lam + n - 1 makes every |V_k| >= 1, and so
+      every coefficient of every power >= 1.
+    - The |V_k| are floored at scale 2^-P and packed into one integer,
+      one slot per coefficient, each slot wide enough for the largest
+      coefficient of the last product (by ||A B||_1 <= ||A||_1 ||B||_1).
+      The power 2q is raised by squaring that integer; each product is
+      floored slot by slot with one mask and one shift
+      (:func:`_floor_mask`).  The slots never go negative, so no slot
+      borrows from its neighbour, and a floor never rounds up.
+    - So each computed coefficient is at most the exact one, and below
+      it by at most rho_j times it for a power j: a floor loses under
+      2^-P, which is at most 2^-P of a coefficient >= 1, and a product
+      adds its factors' relative errors.  Induction gives
+      rho_j = (2j - 1) 2^-P whatever the order of the products, so the
+      2q-th power has rho = (4q - 1) 2^-P.
     - The weights are stepped in fixed point, w_(K+1) = w_K (a + K) /
       (q 2^e), at a scale 2^-P_w fine enough to resolve the largest
       coefficient.  Each step floors (under one unit) and multiplies by a
       ratio of at most 1, so weight K is off by less than K units and
       never exceeds its exact value, 1 at most.
-    - Summing coefficient times weight, |sum - F| <= E 2^-P
-      + (N + E) 2^-P 2 q n 2^-P_w, with N the l1 norm of the computed
-      coefficients in units of 2^-P.  The sum is accepted only when its
-      magnitude is at least 2^60 times that bound, which fixes the sign
-      and leaves F a relative error below 2^-60.  Otherwise it runs
-      again with P raised by the bits it lacked; no sum that failed the
-      check is returned.  P starts from :func:`_start_bits` (q n).
+    - The error of the sum is then at most, coefficient by coefficient,
+      sum_K delta_K (w_K + K) + sum_K |c_K| K, with the per-coefficient
+      error delta_K = rho |c_K| / (1 - rho) weighted by its own w_K.  The
+      sum is accepted only when its magnitude is at least 2^60 times that
+      bound, which fixes the sign and leaves F a relative error below
+      2^-60.  Otherwise it runs again with P raised by the bits it
+      lacked; no sum that failed the check is returned.  P starts from
+      :func:`_start_bits` (q, n, lam), which is far above log2(4q - 1).
 
     The binomial C(2 lam + n - 1, n)^(2q) is a ratio of integers too, so
     it multiplies F exactly and ln (C^(2q) F) comes from one quotient and
@@ -475,7 +466,7 @@ def log_gamma0(q: int, n: int, lam: float) -> tuple[float, float]:
     log_gamma_a = log_gamma(q * (2.0 * lam - 1.0) + 2.0)
     if n == 0:
         return log_gamma_a, 1.0
-    bits = _start_bits(q, n)
+    bits = _start_bits(q, n, lam)
     while True:
         total, bound, largest, scale = _gamma0_sum(q, n, lam, bits)
         if abs(total) >= bound << 60:

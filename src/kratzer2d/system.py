@@ -350,7 +350,7 @@ def log_radial_density(solved: SolvedState, x):
 def density(params: SystemParams, solved: SolvedState, r, theta):
     """Probability density rho(r, theta) of the solved state (1/bohr^2)."""
     r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0 and np.isscalar(theta)
+    scalar = r.ndim == 0 and np.ndim(theta) == 0
     x = 2.0 * solved.beta * np.atleast_1d(r)
     log_rad = log_radial_density(solved, x)
     phi = angular_function(params, solved.spec.m, solved.mode, np.atleast_1d(theta))

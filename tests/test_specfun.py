@@ -7,7 +7,9 @@ applies) and against its own three-term recurrence residual at
 fractional orders; gamma0 against Gauss-Laguerre quadrature of its
 defining integral, closed-form reductions, an exact-Fraction
 brute-force sum of the terminating multi-index series, and an mpmath
-expansion of the defining integral.
+expansion of the defining integral; its fixed-point core's error bound
+against the exact Fraction core, its packed slot floor against
+per-slot shifts, and its starting precision against a pass count.
 """
 
 import math
@@ -441,9 +443,77 @@ def test_gamma0_redoes_a_sum_that_fails_its_bound(monkeypatch):
         return fixed_point_sum(q, n, lam, bits)
 
     monkeypatch.setattr(specfun, "_gamma0_sum", recording)
-    monkeypatch.setattr(specfun, "_start_bits", lambda q, n: 8)
+    monkeypatch.setattr(specfun, "_start_bits", lambda q, n, lam: 8)
     assert log_gamma0(*args) == normal
     assert len(precisions) == 2 and precisions[0] == 8 < precisions[1]
+
+
+@pytest.mark.parametrize("size, bits", [(1, 3), (3, 1), (3, 17), (8, 40), (8, 63)])
+def test_floor_mask_floors_every_slot(size, bits):
+    # (x & mask) >> bits on packed nonnegative slots equals c >> bits
+    # slot by slot, with full (2^W - 1) and empty slots among them.
+    from kratzer2d.specfun import _floor_mask
+
+    rng = np.random.default_rng(size * 64 + bits)
+    top = (1 << 8 * size) - 1
+    for length in (1, 2, 7, 40):
+        slots = [int.from_bytes(rng.bytes(size), "little") for _ in range(length)]
+        slots[0] = top
+        slots[-1] = 0
+        slots[length // 2] = top
+        packed = int.from_bytes(b"".join(c.to_bytes(size, "little") for c in slots), "little")
+        floored = (packed & _floor_mask(size, bits, length)) >> bits
+        raw = floored.to_bytes(size * length, "little")
+        assert [int.from_bytes(raw[i:i + size], "little")
+                for i in range(0, size * length, size)] == [c >> bits for c in slots]
+
+
+def test_gamma0_sum_bound_covers_the_exact_error():
+    # At precisions from barely enough to ample, the proven bound is at
+    # least the distance of the fixed-point total from the exact core
+    # F = sum_K (a)_K q^-K c_K, with c_K the coefficients of
+    # 1F1(-n; 2 lam; x)^(2q) in Fractions at the same binary 2 lam.
+    from kratzer2d.specfun import _gamma0_sum
+
+    tightest = 0.0
+    for q in (1, 2, 3):
+        for n in range(1, 7):
+            for lam in (0.55, 1.9142135623730951, 12.0):
+                two_lam = Fraction(2.0 * lam)
+                a = q * (two_lam - 1) + 2
+                p = [Fraction(1)]
+                for k in range(1, n + 1):
+                    p.append(p[-1] * -(n - k + 1) / ((two_lam + k - 1) * k))
+                c = [Fraction(1)]
+                for _ in range(2 * q):
+                    c = [sum(c[i] * p[K - i] for i in range(max(0, K - n), min(K, len(c) - 1) + 1))
+                         for K in range(len(c) + n)]
+                exact, poch = Fraction(0), Fraction(1)
+                for K, coeff in enumerate(c):
+                    exact += poch * coeff
+                    poch *= (a + K) / q
+                for bits in (12, 24, 48, 96):
+                    total, bound, _, scale = _gamma0_sum(q, n, lam, bits)
+                    error = abs(exact * 2**scale - total)
+                    assert error <= bound, (q, n, lam, bits)
+                    tightest = max(tightest, float(error / bound))
+    # not vacuous either: somewhere the error reaches 1/32 of the bound
+    assert tightest > 1 / 32
+
+
+def test_gamma0_start_needs_one_pass():
+    # The start fitted from (q, n, lam) is accepted at once on at least
+    # 99 % of q 1-8 x n 1-30 (geometric steps) x lam 0.55-150.
+    from kratzer2d.specfun import _gamma0_sum, _start_bits
+
+    points = one_pass = 0
+    for q in range(1, 9):
+        for n in (1, 2, 3, 4, 6, 9, 13, 19, 30):
+            for lam in (0.55, 1.0, 3.0, 10.0, 40.0, 150.0):
+                total, bound, _, _ = _gamma0_sum(q, n, lam, _start_bits(q, n, lam))
+                points += 1
+                one_pass += abs(total) >= bound << 60
+    assert one_pass >= 0.99 * points
 
 
 def test_gamma0_positive_across_grid():

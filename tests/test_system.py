@@ -295,6 +295,15 @@ def test_density_scalar_and_shapes(dipole_params, dipole_state):
     assert vals.shape == (11,) and np.all(vals >= 0.0)
 
 
+def test_density_of_zero_d_arrays_is_a_float(dipole_params, dipole_state):
+    # A 0-d array for r or theta is a scalar point, whichever argument it is.
+    ref = density(dipole_params, dipole_state, 1.0, 0.3)
+    for r, theta in ((1.0, np.array(0.3)), (np.array(1.0), 0.3),
+                     (np.array(1.0), np.array(0.3))):
+        out = density(dipole_params, dipole_state, r, theta)
+        assert isinstance(out, float) and out == ref
+
+
 @pytest.mark.parametrize("mode", list(AngularMode))
 def test_density_on_an_r_theta_mesh(dipole_params, mode):
     state = solve_state(dipole_params, StateSpec(1, 2), mode=mode)
