@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstevd
 
 from .measures import FisherResult
 from .system import (
@@ -49,7 +47,7 @@ from .system import (
     beta_param,
     profile_key,
 )
-from .specfun import laguerre
+from .specfun import _scipy_linalg, eigh_tridiagonal, laguerre
 
 __all__ = [
     "AccuracyError",
@@ -97,14 +95,14 @@ def _laguerre_roots(n: int, alpha: float) -> np.ndarray:
     One call of LAPACK's dstevd, the routine eigh_tridiagonal selects
     for all eigenvalues, so the zeros are the same to the bit without
     that wrapper's argument checks; like the wrapper, a 1 x 1 matrix is
-    answered without LAPACK.
+    answered without LAPACK (and without loading scipy).
     """
     if n <= 1:
         return np.full(n, alpha + 1.0)
     i = np.arange(n, dtype=float)
     diag = 2.0 * i + alpha + 1.0
     off = np.sqrt(i[1:] * (i[1:] + alpha))
-    roots, _, info = dstevd(diag, off, compute_v=0)
+    roots, _, info = _scipy_linalg().lapack.dstevd(diag, off, compute_v=0)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"dstevd failed on the Laguerre Jacobi matrix (info {info})")

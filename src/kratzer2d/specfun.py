@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "SeriesSingularError",
@@ -61,6 +61,25 @@ class ValidityWarning(UserWarning):
 
 class CancellationWarning(UserWarning):
     """An alternating sum retained almost no significant digits."""
+
+
+@cache
+def _scipy_linalg():
+    """scipy.linalg, imported on the first tridiagonal eigensolve.
+
+    Importing it takes about 0.3 s (2-vCPU x86 VM), a thousand closed-form
+    answers, and the closed forms never solve an eigenproblem, so a
+    process that only asks for them never loads scipy.  The Mathieu matrix route and the oracle's
+    Laguerre zeros and finite-difference spectrum load it on first use.
+    """
+    import scipy.linalg
+
+    return scipy.linalg
+
+
+def eigh_tridiagonal(*args, **kwargs):
+    """scipy.linalg.eigh_tridiagonal, loaded by ``_scipy_linalg`` on the first call."""
+    return _scipy_linalg().eigh_tridiagonal(*args, **kwargs)
 
 
 _LN_2PI = math.log(2.0 * math.pi)

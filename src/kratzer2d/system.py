@@ -238,7 +238,16 @@ class _MathieuProfile:
     returns, and a caller that arrives before it (``value``,
     ``derivative``, ``_on_grid`` at another n) has that grid sampled for
     the scale first.  Its frequencies are m_eff + k for integer k;
-    ``value`` and ``derivative`` keep the shape of theta.
+    ``value`` and ``derivative`` keep the shape of theta.  On a grid the
+    profile comes from real transforms only: m_eff = M + f splits into an
+    integer part, which joins each k as the integer frequency M + k of
+    one real DFT per row, and a fraction f < 1, applied afterwards
+    through cos(f theta) and sin(f theta).  At ANGULAR_GRID nodes every
+    array a grid build takes is 64 KiB or less (n doubles, or n/2 + 1 complex
+    values), half of glibc's default 128 KiB mmap threshold, so repeated
+    builds reuse heap memory.  An n-node complex array is exactly 128 KiB:
+    whether the allocator mapped it, and so took fresh page faults on
+    every build, depended on the process's allocation history.
     """
 
     def __init__(self, m_eff: float, b: float):
@@ -268,25 +277,49 @@ class _MathieuProfile:
         return -self.scale * (np.sin(theta[..., None] * self.freqs) * self.freqs) @ self.coeffs
 
     def _on_grid(self, n: int):
-        """(Phi, Phi') at theta_j = 2 pi j / n, j = 0..n-1, one inverse FFT per row.
+        """(Phi, Phi') at theta_j = 2 pi j / n, j = 0..n-1, by one real DFT per row.
 
-        On the grid e^(i (carrier + k) theta_j) = e^(i carrier theta_j)
-        e^(2 pi i k j / n), so both sums over k are length-n inverse DFTs
-        with the coefficient of k at index k mod n.  The indices wrap when
-        the profile has more than n terms; bincount adds the colliding
-        terms, where index assignment would keep only one of them.  The
-        grid is not kept on the profile.
+        With l = M + k the integer part of each frequency f + l,
+        cos((f + l) theta) = cos(f theta) cos(l theta) - sin(f theta) sin(l theta)
+        and sin((f + l) theta) = sin(f theta) cos(l theta) + cos(f theta) sin(l theta),
+        so both rows are the sums over l of c_l cos(l theta_j) and
+        c_l sin(l theta_j) (``_cos_sin_sums``), with c_l (f + l) for Phi',
+        combined with cos(f theta_j) and sin(f theta_j).  No array here is
+        complex at length n, so none reaches 128 KiB at ANGULAR_GRID
+        nodes.  The grid is not kept on the profile.
         """
-        slots = self.k % n
-        theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        carrier = n * np.exp(1j * self.carrier * theta)
-        phi = carrier * np.fft.ifft(np.bincount(slots, weights=self.coeffs, minlength=n))
-        dphi = carrier * np.fft.ifft(
-            np.bincount(slots, weights=self.coeffs * self.freqs, minlength=n))
+        whole = math.floor(self.carrier)
+        slots = (whole + self.k) % n
+        f_theta = (self.carrier - whole) * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        cos_f, sin_f = np.cos(f_theta), np.sin(f_theta)
+        cos_sum, sin_sum = _cos_sin_sums(slots, self.coeffs, n)
+        phi = cos_f * cos_sum - sin_f * sin_sum
+        cos_sum, sin_sum = _cos_sin_sums(slots, self.coeffs * self.freqs, n)
+        dphi = sin_f * cos_sum + cos_f * sin_sum
         if self._scale is None and n == ANGULAR_GRID:
-            raw_sq = (2.0 * math.pi / ANGULAR_GRID) * float(np.sum(phi.real ** 2))
+            raw_sq = (2.0 * math.pi / ANGULAR_GRID) * float(np.sum(phi ** 2))
             self._scale = math.sqrt(math.pi / raw_sq)
-        return self.scale * phi.real, -self.scale * dphi.imag
+        return self.scale * phi, -self.scale * dphi
+
+
+def _cos_sin_sums(slots, weights, n: int):
+    """Sums of w cos(l theta_j) and w sin(l theta_j), theta_j = 2 pi j / n.
+
+    ``slots`` holds each integer frequency l mod n; bincount adds the
+    weights that share a slot when there are more terms than nodes,
+    where index assignment would keep only one of them.  One real DFT
+    gives both sums for j <= n/2 (its real part and its negated
+    imaginary part); theta_(n-j) = -theta_j mod 2 pi mirrors them to the
+    rest, the cosine sum even and the sine sum odd.
+    """
+    spec = np.fft.rfft(np.bincount(slots, weights=weights, minlength=n))
+    half = spec.size
+    cos_sum, sin_sum = np.empty(n), np.empty(n)
+    cos_sum[:half] = spec.real
+    sin_sum[:half] = -spec.imag
+    cos_sum[half:] = cos_sum[n - half:0:-1]
+    sin_sum[half:] = -sin_sum[n - half:0:-1]
+    return cos_sum, sin_sum
 
 
 def profile_key(

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -440,3 +441,70 @@ def test_table_warnings_do_not_depend_on_hash_seed():
         errs.append(subprocess.run(argv, capture_output=True, check=True, env=env).stderr)
     assert len(errs[0].splitlines()) >= 2
     assert errs[0] == errs[1]
+
+
+def _fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    # A new interpreter on the same package: this one has scipy loaded.
+    src = str(Path(kratzer2d.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+
+SCIPY_ON_DEMAND = """
+import contextlib, io, sys
+from kratzer2d.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+
+def scipy_modules():
+    return [name for name in sys.modules if name.startswith("scipy")]
+
+run("compute", "--De", "1", "--re", "1", "--n", "2", "--m", "1",
+    "--measure", "tsallis", "--q", "2")
+run("sweep", "--var", "De", "--from", "1", "--to", "2", "--steps", "3", "--De", "1")
+assert not scipy_modules(), scipy_modules()
+run("compute", "--De", "3", "--re", "1", "--D", "0.3", "--delta", "0.2", "--n", "1",
+    "--m", "1", "--mode", "mathieu", "--method", "matrix", "--measure", "fisher")
+assert "scipy.linalg" in sys.modules, scipy_modules()
+"""
+
+
+def test_closed_forms_never_load_scipy():
+    # Cosine closed forms solve no eigenproblem, so scipy stays unloaded
+    # until the Mathieu matrix route needs its tridiagonal eigensolver.
+    proc = _fresh_python(SCIPY_ON_DEMAND)
+    assert proc.returncode == 0, proc.stderr
+
+
+TWICE = """
+import contextlib, io, json, sys
+from kratzer2d.cli import main
+
+runs = []
+for _ in range(2):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(sys.argv[1:])
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--De", "3", "--re", "1", "--D", "0.3", "--delta", "0.2", "--n", "1",
+     "--m", "1", "--mode", "mathieu", "--method", "matrix", "--measure", "fisher,wq"],
+    ["compute", "--De", "1", "--re", "1", "--n", "2", "--m", "1", "--measure", "shannon"],
+], ids=["mathieu-matrix", "cosine-shannon"])
+def test_first_request_prints_what_a_warm_one_does(argv):
+    # The first eigensolve imports scipy inside compute's warning capture,
+    # so a warning raised by that import would be printed and flagged.
+    proc = _fresh_python(TWICE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    (first_code, first_out, first_err), (code, out, _) = json.loads(proc.stdout)
+    assert first_code == code == 0
+    assert first_err == ""
+    assert "flags:" not in first_out
+    assert first_out == out

@@ -219,18 +219,37 @@ def test_mathieu_profile_zero_coupling_is_shifted_cosine():
     (0.1, 0.3, 2, 8192),  # b = 0.4
     (5.0, 0.3, 2, 8192),  # b = 20
     (5.0, 0.2, 0, 4096),
+    (3.0, 0.5, 2, 8192),  # half-integer order m + delta = 2.5, b = 12
+    (5.0, 0.3, 2, 8191),  # odd n: the real DFT's mirror has no Nyquist node
+    (0.1, 0.3, 2, 33),    # odd n, 51 terms on 33 slots
     (5.0, 0.7, 3, 32),    # 51 terms on 32 slots: the indices wrap
+    (5.0, 0.7, 3, 31),    # wrapped and odd
 ])
 def test_mathieu_profile_grid_matches_pointwise(Dm, delta, m, n):
     params = make_params(De=3.0, re=1.0, Dm=Dm, delta=delta)
     profile = angular_profile(*profile_key(params, m, AngularMode.MATHIEU_NUMERIC))
-    if n == 32:
+    if n < 64:
         assert profile.k.size > n
     theta = 2.0 * math.pi * np.arange(n) / n
     phi, dphi = profile._on_grid(n)
     ref, dref = profile.value(theta), profile.derivative(theta)
     assert np.max(np.abs(phi - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(dphi - dref)) <= 1e-13 * np.max(np.abs(dref))
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_cosine_profile_grid_is_scaled_cosine(m):
+    # Cosine mode is the b = 0 profile: one coefficient at integer order,
+    # so the grid is scale * cos(m theta) up to the real DFT's rounding.
+    # The reference reduces m j mod n exactly before the cosine.
+    profile = angular_profile(*profile_key(make_params(De=1.0, re=1.0), m,
+                                           AngularMode.PAPER_COSINE))
+    phi, dphi = profile._on_grid(ANGULAR_GRID)
+    theta = 2.0 * math.pi * (m * np.arange(ANGULAR_GRID) % ANGULAR_GRID) / ANGULAR_GRID
+    ref = profile.scale * np.cos(theta)
+    dref = -profile.scale * m * np.sin(theta)
+    assert np.max(np.abs(phi - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert np.max(np.abs(dphi - dref)) <= 1e-15 * np.max(np.abs(dref), initial=0.0)
 
 
 @pytest.mark.parametrize("first", ["value", "derivative", "grid32"])
