@@ -31,13 +31,11 @@ from .oracle import (
     AccuracyError,
     angular_integrals_numeric,
     fisher_numeric,
-    gauss_laguerre_rule,
     radial_fd_eigen,
     shannon_numeric,
     wq_numeric,
 )
 from .specfun import (
-    CancellationWarning,
     SeriesSingularError,
     TruncationError,
     ValidityWarning,
@@ -66,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyError",
     "AngularMode",
-    "CancellationWarning",
     "CheckResult",
     "EntropicMoment",
     "FisherResult",
@@ -86,7 +83,6 @@ __all__ = [
     "fisher_closed",
     "fisher_numeric",
     "gamma0",
-    "gauss_laguerre_rule",
     "get_preset",
     "laguerre",
     "list_presets",

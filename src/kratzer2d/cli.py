@@ -24,12 +24,7 @@ from typing import IO
 from . import molecules
 from .measures import shannon_closed
 from .oracle import AccuracyError
-from .specfun import (
-    CancellationWarning,
-    SeriesSingularError,
-    TruncationError,
-    ValidityWarning,
-)
+from .specfun import SeriesSingularError, TruncationError, ValidityWarning
 from .system import (
     AngularMode,
     StateSpec,
@@ -338,9 +333,8 @@ def cmd_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         names = [part.strip() for part in args.checks.split(",") if part.strip()]
     with warnings.catch_warnings():
         # The checks deliberately walk into warned-about territory
-        # (out-of-range couplings, cancelling sums); the verdict lines
-        # already carry the outcome.
-        warnings.simplefilter("ignore", CancellationWarning)
+        # (out-of-range couplings); the verdict lines already carry the
+        # outcome.
         warnings.simplefilter("ignore", ValidityWarning)
         results = run_checks(names, progress=_report_check)
     failed = [r for r in results if not r.passed]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import digamma, double_factorial, log_gamma, log_gamma0
+from .specfun import digamma, log_gamma0
 from .system import AngularMode, SolvedState, SystemParams
 
 __all__ = [
@@ -121,12 +121,8 @@ def _log_wq(solved: SolvedState, q: int) -> float:
             f"entropic-moment coefficient came out non-positive at q = {q}, "
             f"n = {n}, lam = {lam:g}; cancellation exhausted the working precision"
         )
-    log_angular = (
-        math.log(double_factorial(2 * q - 1))
-        + _LN_2PI
-        - q * math.log(2.0)
-        - log_gamma(q + 1.0)
-    )
+    # (2q-1)!! 2 pi / (2^q q!) = C(2q, q) 2 pi / 4^q
+    log_angular = math.log(math.comb(2 * q, q)) + _LN_2PI - 2 * q * math.log(2.0)
     return (
         q * solved.log_norm_sq
         - math.log(4.0 * solved.beta**2)

@@ -51,9 +51,7 @@ from .specfun import _scipy_linalg, eigh_tridiagonal, laguerre
 
 __all__ = [
     "AccuracyError",
-    "QuadratureRule",
     "AngularIntegrals",
-    "gauss_laguerre_rule",
     "angular_integrals_numeric",
     "fisher_numeric",
     "shannon_numeric",
@@ -68,15 +66,6 @@ class AccuracyError(RuntimeError):
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved {achieved:.3e})")
         self.achieved = achieved
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss rule for the weight x^alpha e^-x on [0, inf)."""
-
-    alpha: float
-    nodes: np.ndarray
-    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -147,23 +136,6 @@ def _scaled_gauss_laguerre(alpha: float, K: int) -> tuple[np.ndarray, np.ndarray
     log_w = np.log(nodes) - 2.0 * _log_abs_monic_laguerre(K + 1, alpha, nodes)
     weights = np.exp(log_w - np.max(log_w))
     return nodes, weights / weights.sum(), math.lgamma(alpha + 1.0)
-
-
-def gauss_laguerre_rule(alpha: float, K: int) -> QuadratureRule:
-    """K-point generalized Gauss-Laguerre rule for the weight x^alpha e^-x.
-
-    Nodes are the Jacobi-matrix eigenvalues; weights come from the
-    closed formula in L_{K+1}^(alpha) at the nodes, evaluated in log
-    space (each weight relatively accurate, the smallest included) and
-    scaled by the total mass Gamma(alpha + 1).  Exact for polynomials of
-    degree <= 2K - 1.
-    """
-    if not alpha > -1.0:
-        raise ValueError(f"gauss_laguerre_rule requires alpha > -1, got {alpha}")
-    if K < 1:
-        raise ValueError(f"gauss_laguerre_rule requires K >= 1, got {K}")
-    nodes, weights, log_mass = _scaled_gauss_laguerre(float(alpha), int(K))
-    return QuadratureRule(float(alpha), nodes, weights * math.exp(log_mass))
 
 
 def angular_integrals_numeric(

@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .specfun import (
-    log_gamma,
     laguerre,
     mathieu_char_series,
     mathieu_even_solution,
@@ -219,8 +218,8 @@ def _log_norm_sq(n: int, lam: float, beta: float) -> float:
     return (
         math.log(2.0)
         + 2.0 * math.log(beta)
-        + log_gamma(n + 1.0)
-        - log_gamma(n + 2.0 * lam)
+        + math.lgamma(n + 1.0)
+        - math.lgamma(n + 2.0 * lam)
         - math.log(n + lam)
         - math.log(math.pi)
     )
