@@ -33,7 +33,7 @@ from .system import (
     make_params,
     solve_state,
 )
-from .validation import CheckResult, evaluate, run_checks
+from .validation import TABLE_ROWS, CheckResult, evaluate, run_checks
 
 # Each measure and the symbol of its headline value.
 SYMBOLS = {"fisher": "I", "shannon": "S", "tsallis": "T", "renyi": "R",
@@ -270,7 +270,6 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     mass_notes = [f"{name}: mu=1 (raw)" if args.units == "raw" else f"{name}: mu={_fmt(p.mu)}"
                   for name, p in params_map.items()]
 
-    n_values, m_values = (1, 2, 4, 6, 8), (0, 1, 2)
     measures = ("fisher", "shannon") if args.tables == 1 else ("tsallis", "renyi")
     header = ["n", "m"] + [f"{SYMBOLS[meas]}({name})" for meas in measures
                            for name in names]
@@ -278,16 +277,15 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     body: list[list[str]] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for n in n_values:
-            for m in m_values:
-                values = {}
-                for name, params in params_map.items():
-                    state = solve_state(params, StateSpec(n, m), method=args.method)
-                    _, values[name] = evaluate(params, state, measures, args.q)
-                cells = [values[name][SYMBOLS[meas]] for meas in measures for name in names]
-                body.append([str(n), str(m)] + [
-                    (_fmt(v) if args.format == "csv" else "%.6g" % v) for v in cells
-                ])
+        for n, m in TABLE_ROWS:
+            values = {}
+            for name, params in params_map.items():
+                state = solve_state(params, StateSpec(n, m), method=args.method)
+                _, values[name] = evaluate(params, state, measures, args.q)
+            cells = [values[name][SYMBOLS[meas]] for meas in measures for name in names]
+            body.append([str(n), str(m)] + [
+                (_fmt(v) if args.format == "csv" else "%.6g" % v) for v in cells
+            ])
     _report_warnings(caught)
 
     units_note = (

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .specfun import digamma, log_gamma0
-from .system import AngularMode, SolvedState, SystemParams
+from .system import SolvedState, SystemParams
 
 __all__ = [
     "FisherResult",
@@ -38,7 +38,6 @@ class FisherResult:
     I: float
     I1: float
     I2: float
-    mode: AngularMode
 
 
 @dataclass(frozen=True)
@@ -57,16 +56,26 @@ class ShannonResult:
     S3: float
     S4: float
     asymptotic: bool
-    mode: AngularMode
 
 
 @dataclass(frozen=True)
 class EntropicMoment:
-    """Entropic moment W_q = integral of rho^q, with its log for precision."""
+    """Entropic moment W_q = integral of rho^q, carried as ln W_q.
+
+    Every route hands back the log, which stays finite where W_q leaves
+    the double range; ``Wq`` is derived on read and is inf only where
+    exp(ln W_q) overflows (it underflows to 0.0 on its own).
+    """
 
     q: float
-    Wq: float
     log_Wq: float
+
+    @property
+    def Wq(self) -> float:
+        try:
+            return math.exp(self.log_Wq)
+        except OverflowError:
+            return math.inf
 
 
 def fisher_closed(params: SystemParams, solved: SolvedState) -> FisherResult:
@@ -89,7 +98,7 @@ def fisher_closed(params: SystemParams, solved: SolvedState) -> FisherResult:
     bsq = beta * beta
     i1 = 2.0 * bsq * (2.0 * n + 1.0) / (n + lam)
     i2 = 8.0 * m * m * bsq / ((n + lam) * (2.0 * lam - 1.0))
-    return FisherResult(i1 + i2, i1, i2, solved.mode)
+    return FisherResult(i1 + i2, i1, i2)
 
 
 def shannon_closed(params: SystemParams, solved: SolvedState) -> ShannonResult:
@@ -110,7 +119,7 @@ def shannon_closed(params: SystemParams, solved: SolvedState) -> ShannonResult:
             + 4.0 * lam * n * math.log(n)
             + 2.0 * n * (_LN_2PI - 4.0 * lam - 2.0)
         ) / (2.0 * (n + lam))
-    return ShannonResult(s1 + s2 + s3 + s4, s1, s2, s3, s4, True, solved.mode)
+    return ShannonResult(s1 + s2 + s3 + s4, s1, s2, s3, s4, True)
 
 
 def _log_wq(solved: SolvedState, q: int) -> float:
@@ -138,13 +147,13 @@ def wq_closed(params: SystemParams, solved: SolvedState, q: int) -> EntropicMome
     The angular factor is the cosine-power constant
     (2q-1)!! 2 pi / (2^q q!) for every m, including m = 0 where the
     true flat-profile integral would instead be 2 pi 2^-q; the numeric
-    oracle quantifies that difference.
+    oracle quantifies that difference.  The moment carries ln W_q as
+    the closed form builds it.
     """
     if q < 1 or q != int(q):
         raise ValueError(f"wq_closed requires integer q >= 1, got {q}")
     q = int(q)
-    log_wq = _log_wq(solved, q)
-    return EntropicMoment(q, math.exp(log_wq) if log_wq < 700.0 else math.inf, log_wq)
+    return EntropicMoment(q, _log_wq(solved, q))
 
 
 def tsallis(moment: EntropicMoment) -> float:

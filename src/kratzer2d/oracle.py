@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import FisherResult
+from .measures import EntropicMoment, FisherResult
 from .system import (
     ANGULAR_GRID,
     AngularMode,
@@ -356,7 +356,7 @@ def fisher_numeric(params: SystemParams, solved: SolvedState) -> FisherResult:
     total = i1 + i2
     if drift > 1e-10 * max(abs(total), 1.0):
         raise AccuracyError("Fisher quadrature did not settle", drift / abs(total))
-    return FisherResult(total, i1, i2, solved.mode)
+    return FisherResult(total, i1, i2)
 
 
 def _shannon_cut(solved: SolvedState) -> tuple[np.ndarray, float, float, float]:
@@ -419,7 +419,7 @@ def shannon_numeric(
     return -ang.i2norm * float(r_log) - ang.ilog * float(norm_int)
 
 
-def wq_numeric(params: SystemParams, solved: SolvedState, q: float) -> float:
+def wq_numeric(params: SystemParams, solved: SolvedState, q: float) -> EntropicMoment:
     """Entropic moment W_q by quadrature of rho^q, for real q > 0.
 
     After u = q x the radial integrand is u^(q (2 lam - 1) + 1) e^-u
@@ -430,7 +430,9 @@ def wq_numeric(params: SystemParams, solved: SolvedState, q: float) -> float:
     of it, and otherwise the cut moves out and the rule runs again.
     Raises AccuracyError when the error estimate, |I_40 - I_80| plus the
     tail bound, over I_80 exceeds 1e-10 at integer q (a smooth integrand)
-    or 1e-8 at real q (kinks at the zeros).
+    or 1e-8 at real q (kinks at the zeros).  The moment carries
+    ln W_q, summed from the scale pulled out and the log of the radial
+    sum, so it stays finite where W_q itself leaves the double range.
     """
     if not q > 0.0:
         raise ValueError(f"wq_numeric requires q > 0, got {q}")
@@ -468,7 +470,7 @@ def wq_numeric(params: SystemParams, solved: SolvedState, q: float) -> float:
     tol = 1e-10 if float(q).is_integer() else 1e-8
     if err > tol * radial:
         raise AccuracyError("W_q radial quadrature did not converge", err / radial)
-    return math.exp(log_front + offset + math.log(radial))
+    return EntropicMoment(q, log_front + offset + log_mass)
 
 
 def radial_fd_eigen(

@@ -103,10 +103,10 @@ class AngularMode(enum.Enum):
 class SolvedState:
     """One solved bound state: eigenvalue chain plus normalisation.
 
-    ``norm`` is the radial normalisation constant N (1/bohr); it
-    underflows for extreme parameter scales, so ``log_norm_sq`` = ln N^2
-    is what internal formulas should consume.  ``energy`` excludes the
-    constant well offset; ``energy_total`` includes it.
+    The radial normalisation constant N (1/bohr) is carried as
+    ``log_norm_sq`` = ln N^2, which stays finite at parameter scales
+    where N itself underflows.  ``energy`` excludes the constant well
+    offset; ``energy_total`` includes it.
     """
 
     spec: StateSpec
@@ -116,7 +116,6 @@ class SolvedState:
     beta: float
     energy: float
     energy_total: float
-    norm: float
     log_norm_sq: float
     mode: AngularMode
 
@@ -124,17 +123,17 @@ class SolvedState:
 def make_params(
     De: float, re: float, Dm: float = 0.0, delta: float = 0.0, mu: float = 1.0
 ) -> SystemParams:
-    """Validate and build SystemParams."""
-    if not De > 0.0:
-        raise ValueError(f"well depth De must be positive, got {De}")
-    if not re > 0.0:
-        raise ValueError(f"equilibrium radius re must be positive, got {re}")
-    if Dm < 0.0:
-        raise ValueError(f"dipole strength Dm must be >= 0, got {Dm}")
-    if delta < 0.0:
-        raise ValueError(f"flux ratio delta must be >= 0, got {delta}")
-    if not mu > 0.0:
-        raise ValueError(f"reduced mass mu must be positive, got {mu}")
+    """Validate and build SystemParams; every value must be finite."""
+    if not 0.0 < De < math.inf:
+        raise ValueError(f"well depth De must be positive and finite, got {De}")
+    if not 0.0 < re < math.inf:
+        raise ValueError(f"equilibrium radius re must be positive and finite, got {re}")
+    if not 0.0 <= Dm < math.inf:
+        raise ValueError(f"dipole strength Dm must be >= 0 and finite, got {Dm}")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"flux ratio delta must be >= 0 and finite, got {delta}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"reduced mass mu must be positive and finite, got {mu}")
     return SystemParams(float(De), float(re), float(Dm), float(delta), float(mu))
 
 
@@ -198,7 +197,6 @@ def solve_state(
     lam = _lambda_from_angular(params, e_theta)
     beta = beta_param(params, spec, lam)
     e = -beta * beta / (2.0 * params.mu)
-    log_norm_sq = _log_norm_sq(spec.n_r, lam, beta)
     return SolvedState(
         spec=spec,
         b=mathieu_coupling(params),
@@ -207,8 +205,7 @@ def solve_state(
         beta=beta,
         energy=e,
         energy_total=e + params.C,
-        norm=math.exp(0.5 * log_norm_sq) if log_norm_sq > -1400.0 else 0.0,
-        log_norm_sq=log_norm_sq,
+        log_norm_sq=_log_norm_sq(spec.n_r, lam, beta),
         mode=mode,
     )
 

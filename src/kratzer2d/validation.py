@@ -26,7 +26,6 @@ import numpy as np
 
 from . import molecules
 from .measures import (
-    EntropicMoment,
     fisher_closed,
     renyi,
     shannon_closed,
@@ -123,11 +122,7 @@ def evaluate(params: SystemParams, state: SolvedState, measures: Iterable[str],
             values.update(E=state.energy, E_total=state.energy_total)
         else:
             if moment is None:
-                if cosine:
-                    moment = wq_closed(params, state, q)
-                else:
-                    w = wq_numeric(params, state, q)
-                    moment = EntropicMoment(q, w, math.log(w))
+                moment = (wq_closed if cosine else wq_numeric)(params, state, q)
                 values["W"] = moment.Wq
             if name == "tsallis":
                 values["T"] = tsallis(moment)
@@ -136,16 +131,16 @@ def evaluate(params: SystemParams, state: SolvedState, measures: Iterable[str],
     return ("closed form" if cosine else "quadrature"), values
 
 
-def _solve(params: SystemParams, spec: StateSpec,
-           mode: AngularMode = AngularMode.PAPER_COSINE) -> tuple[SolvedState, bool]:
-    """Solve with the characteristic-number series, matrix fallback when
-    the series denominators vanish.  Returns (state, used_fallback)."""
+def _solve(params: SystemParams, spec: StateSpec) -> tuple[SolvedState, bool]:
+    """Solve in cosine mode with the characteristic-number series, matrix
+    fallback when the series denominators vanish.  Returns (state,
+    used_fallback)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
-            return solve_state(params, spec, mode=mode, method="series"), False
+            return solve_state(params, spec, method="series"), False
     except SeriesSingularError:
-        return solve_state(params, spec, mode=mode, method="matrix"), True
+        return solve_state(params, spec, method="matrix"), True
 
 
 def _base_grid() -> Iterable[tuple[SystemParams, StateSpec]]:
@@ -165,7 +160,7 @@ def check_normalization() -> CheckResult:
     for params, spec in _base_grid():
         state, fell = _solve(params, spec)
         fallbacks += fell
-        dev = abs(wq_numeric(params, state, 1.0) - 1.0)
+        dev = abs(wq_numeric(params, state, 1.0).Wq - 1.0)
         if dev > worst:
             worst, where = dev, f"n={spec.n_r} m={spec.m} De={params.De} d={params.delta} D={params.Dm}"
     return CheckResult(
@@ -202,14 +197,14 @@ def check_entropic_moments() -> CheckResult:
                     state, _ = _solve(params, StateSpec(n, m))
                     for q in (2, 3):
                         closed = wq_closed(params, state, q).Wq
-                        numeric = wq_numeric(params, state, float(q))
+                        numeric = wq_numeric(params, state, float(q)).Wq
                         dev = abs(closed - numeric) / numeric
                         if dev > worst:
                             worst, where = dev, f"q={q} n={n} m={m} De={De} d={delta}"
     params = make_params(De=1.0, re=1.0, mu=1.0)
     state, _ = _solve(params, StateSpec(2, 1))
     mutant = 2.0 * wq_closed(params, state, 2).Wq
-    ratio = mutant / wq_numeric(params, state, 2.0)
+    ratio = mutant / wq_numeric(params, state, 2.0).Wq
     mutation_caught = abs(ratio - 2.0) <= 1e-6
     passed = worst <= 1e-6 and mutation_caught
     return CheckResult(
@@ -289,47 +284,31 @@ def check_trends() -> CheckResult:
     sweep (n=2, m=2, De=3): localization falls as the dipole strength
     rises, entropies rise, within the validity window of the series.
     """
-    deltas = (0.0, 0.3, 0.6)
+    # (swept variable, grid, state, parameters at (value, delta), I's direction)
+    sweeps = (
+        ("De", np.linspace(0.5, 5.0, 50), StateSpec(2, 0),
+         lambda v, delta: make_params(De=v, re=1.0, delta=delta, mu=1.0), 1),
+        ("D", np.linspace(0.0, 5.0, 50), StateSpec(2, 2),
+         lambda v, delta: make_params(De=3.0, re=1.0, Dm=v, delta=delta, mu=1.0), -1),
+    )
     worst, labels = 0.0, []
-
-    de_grid = np.linspace(0.5, 5.0, 50)
-    fisher_by_delta = []
-    for delta in deltas:
-        I_vals, S_vals, T_vals, R_vals = [], [], [], []
-        for De in de_grid:
-            params = make_params(De=float(De), re=1.0, delta=delta, mu=1.0)
-            I, S, T, R = _measures_at(params, StateSpec(2, 0))
-            I_vals.append(I); S_vals.append(S); T_vals.append(T); R_vals.append(R)
-        fisher_by_delta.append(I_vals)
-        for label, vals, direction in (
-            ("I up in De", I_vals, 1), ("S down in De", S_vals, -1),
-            ("T down in De", T_vals, -1), ("R down in De", R_vals, -1),
-        ):
-            viol = _strict(vals, direction)
-            if viol > 0.0:
-                labels.append(f"{label} (delta={delta})")
-                worst = max(worst, viol)
-    across = np.asarray(fisher_by_delta)
-    drops = np.diff(across, axis=0)  # I(delta_{k+1}) - I(delta_k) per De point
-    if float(np.max(drops)) >= 0.0:
-        labels.append("I down in delta")
-        worst = max(worst, float(np.max(drops)))
-
-    d_grid = np.linspace(0.0, 5.0, 50)
-    for delta in deltas:
-        I_vals, S_vals, T_vals, R_vals = [], [], [], []
-        for Dm in d_grid:
-            params = make_params(De=3.0, re=1.0, Dm=float(Dm), delta=delta, mu=1.0)
-            I, S, T, R = _measures_at(params, StateSpec(2, 2))
-            I_vals.append(I); S_vals.append(S); T_vals.append(T); R_vals.append(R)
-        for label, vals, direction in (
-            ("I down in D", I_vals, -1), ("S up in D", S_vals, 1),
-            ("T up in D", T_vals, 1), ("R up in D", R_vals, 1),
-        ):
-            viol = _strict(vals, direction)
-            if viol > 0.0:
-                labels.append(f"{label} (delta={delta})")
-                worst = max(worst, viol)
+    for var, grid, spec, build, sign in sweeps:
+        fisher_by_delta = []
+        for delta in (0.0, 0.3, 0.6):
+            columns = list(zip(*(_measures_at(build(float(v), delta), spec) for v in grid)))
+            fisher_by_delta.append(columns[0])
+            for symbol, vals, direction in zip("ISTR", columns, (sign, -sign, -sign, -sign)):
+                viol = _strict(vals, direction)
+                if viol > 0.0:
+                    trend = "up" if direction > 0 else "down"
+                    labels.append(f"{symbol} {trend} in {var} (delta={delta})")
+                    worst = max(worst, viol)
+        if var == "De":
+            # I(delta_{k+1}) - I(delta_k) per De point
+            drops = np.diff(np.asarray(fisher_by_delta), axis=0)
+            if float(np.max(drops)) >= 0.0:
+                labels.append("I down in delta")
+                worst = max(worst, float(np.max(drops)))
     detail = "all monotone on 50-point grids" if not labels else "; ".join(labels)
     return CheckResult("trend-suite", not labels, worst, 0.0, detail)
 
@@ -354,8 +333,7 @@ def check_renyi_limit() -> CheckResult:
     """Order->1 limit of the Renyi entropy lands on the Shannon entropy."""
     params = make_params(De=1.0, re=1.0, mu=1.0)
     state, _ = _solve(params, StateSpec(0, 0))
-    w = wq_numeric(params, state, 1.01)
-    r_near_one = renyi(EntropicMoment(1.01, w, math.log(w)))
+    r_near_one = renyi(wq_numeric(params, state, 1.01))
     s = shannon_numeric(params, state)
     dev = abs(r_near_one - s)
     return CheckResult(

@@ -6,6 +6,7 @@ since reproducible output is part of the interface contract.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -207,6 +208,68 @@ def test_sweep_checks_q_like_compute(measure, q, capsys):
         messages.append(capsys.readouterr().err.splitlines()[-1])
     assert messages[0] == messages[1]
     assert messages[1].startswith("kratzer2d: error: --q must be an integer >= ")
+
+
+def test_preset_compute_matches_table_cells(capsys):
+    # README's example; I and S are the Cs2 cells of the (1, 0) row of
+    # `table --tables 1 --format csv`.
+    code = main(["compute", "--preset", "Cs2", "--delta", "0.2", "--D", "0.4",
+                 "--n", "1", "--measure", "fisher,shannon"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == ("parameters: De=0.4524686595 re=4.648 mu=1 "
+                        "(preset Cs2, raw-numbers interpretation (mu=1))")
+    assert lines[3].startswith("fisher: I=0.5214337349 ")
+    assert lines[4] == "shannon: S=6.570381026 (quadrature)"
+
+
+@pytest.mark.parametrize(
+    "flags,line",
+    [(["--units", "converted"],
+      "parameters: De=0.01662791654 re=8.783447027 mu=121135.9091 "
+      "(preset Cs2, converted units (nist mass))"),
+     (["--mu", "2"],
+      "parameters: De=0.4524686595 re=4.648 mu=2 "
+      "(preset Cs2, raw-numbers interpretation (mu=1), mu overridden to 2.0)")],
+    ids=["converted", "mu-override"],
+)
+def test_preset_parameters_line_notes(flags, line, capsys):
+    assert main(["compute", "--preset", "Cs2", "--measure", "energy"] + flags) == 0
+    assert capsys.readouterr().out.splitlines()[1] == line
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--m", "2", "--D", "nan", "--measure", "fisher"],
+     ["--De", "inf", "--measure", "energy"]],
+    ids=["nan-dipole", "inf-depth"],
+)
+def test_non_finite_parameters_exit_1(flags, capsys):
+    assert main(["compute", "--De", "1", "--re", "1"] + flags) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "must be" in err
+
+
+@pytest.mark.parametrize(
+    "flags,q,w",
+    [(["--De", "1e6", "--re", "7e-5", "--mu", "1e9", "--m", "1",
+       "--measure", "wq,tsallis,renyi"], 34, "6.374886699e+305"),
+     (["--De", "0.05", "--re", "1", "--D", "0.01", "--delta", "0.2", "--m", "1",
+       "--mode", "mathieu", "--method", "matrix", "--measure", "renyi"], 100, "0"),
+     (["--De", "1e6", "--re", "7e-5", "--mu", "1e9", "--D", "1e-12", "--m", "1",
+       "--mode", "mathieu", "--method", "matrix", "--measure", "renyi"], 36, "inf")],
+    ids=["closed-q34", "mathieu-underflow", "mathieu-overflow"],
+)
+def test_moment_outside_exp_range_keeps_renyi_finite(flags, q, w, capsys):
+    # ln W_34 = 704.1, so W_34 still fits a double; W_100 underflows to 0
+    # and W_36 overflows, but R_q divides ln W_q and stays finite.
+    assert main(["compute"] + flags + ["--q", str(q)]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    head, tail = line.split(" (")
+    assert head.startswith(f"renyi: R_{q}=")
+    assert math.isfinite(float(head.split("=")[1]))
+    assert tail == f"W_{q}={w})"
 
 
 def test_unknown_preset_exits_1(capsys):

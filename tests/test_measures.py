@@ -6,12 +6,14 @@ oracle module; the tests check agreement where the conventions match
 not (the m = 0 angular constant).
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from kratzer2d import (
+    EntropicMoment,
     StateSpec,
     fisher_closed,
     fisher_numeric,
@@ -162,6 +164,28 @@ def test_wq_closed_log_consistency(dipole_params, dipole_state):
     assert moment.q == 3
 
 
+
+def test_entropic_moment_derives_wq_from_its_log():
+    assert [f.name for f in dataclasses.fields(EntropicMoment)] == ["q", "log_Wq"]
+    assert EntropicMoment(2, 1.0).Wq == math.exp(1.0)
+    assert EntropicMoment(2, 800.0).Wq == math.inf
+    assert EntropicMoment(2, -800.0).Wq == 0.0
+
+
+@pytest.mark.parametrize(
+    "kwargs,q",
+    [(dict(De=0.05, re=1.0, delta=0.2), 90), (dict(De=0.05, re=1.0, delta=0.2), 100),
+     (dict(De=1e6, re=7e-5, mu=1e9), 34)],
+)
+def test_wq_numeric_log_matches_closed_beyond_double_range(kwargs, q):
+    # ln W_q of the ground m = 1 state where W_q itself underflows
+    # (q = 90, 100) or exceeds exp(700) (q = 34); with m >= 1 the cosine
+    # closed form is exact, so both routes must agree in the log.
+    p = make_params(**kwargs)
+    state = solve_state(p, StateSpec(0, 1))
+    closed = wq_closed(p, state, q).log_Wq
+    assert wq_numeric(p, state, float(q)).log_Wq == pytest.approx(closed, rel=1e-12, abs=0)
+
 def test_wq_closed_euler_integral_nodeless():
     # n = 0, m = 1, q = 2 reduces to a single Euler integral.
     p = make_params(De=1.0, re=1.0)
@@ -184,7 +208,7 @@ def test_wq_closed_equals_quadrature_m_ge_1():
                 state = solve_state(p, StateSpec(n, m))
                 for q in (2, 3):
                     closed = wq_closed(p, state, q).Wq
-                    numeric = wq_numeric(p, state, float(q))
+                    numeric = wq_numeric(p, state, float(q)).Wq
                     assert closed == pytest.approx(numeric, rel=1e-10, abs=0)
 
 
@@ -194,7 +218,7 @@ def test_wq_m0_convention_ratio(std_params, std_state, q, ratio):
     # (2q-1)!! 2 pi / (2^q q!) while the true flat profile integrates
     # to 2 pi 2^-q; the ratio is exactly 3/2 at q = 2 and 5/2 at q = 3.
     closed = wq_closed(std_params, std_state, q).Wq
-    numeric = wq_numeric(std_params, std_state, float(q))
+    numeric = wq_numeric(std_params, std_state, float(q)).Wq
     assert closed / numeric == pytest.approx(ratio, rel=1e-9)
 
 

@@ -383,14 +383,14 @@ def test_shannon_numeric_accuracy_error(std_params, std_state):
 def test_wq_numeric_normalization_diagnostic(std_params, std_state, dipole_params,
                                              dipole_state):
     # The normalisation is the entropic moment W_1, in either angular mode.
-    assert wq_numeric(std_params, std_state, 1.0) == pytest.approx(1.0, abs=1e-10)
-    assert wq_numeric(dipole_params, dipole_state, 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert wq_numeric(std_params, std_state, 1.0).Wq == pytest.approx(1.0, abs=1e-10)
+    assert wq_numeric(dipole_params, dipole_state, 1.0).Wq == pytest.approx(1.0, abs=1e-10)
     state = solve_state(dipole_params, StateSpec(2, 2), mode=AngularMode.MATHIEU_NUMERIC)
-    assert wq_numeric(dipole_params, state, 1.0) == pytest.approx(1.0, abs=1e-8)
+    assert wq_numeric(dipole_params, state, 1.0).Wq == pytest.approx(1.0, abs=1e-8)
 
 
 def test_wq_numeric_frozen_w2(std_params, std_state):
-    assert wq_numeric(std_params, std_state, 2.0) == pytest.approx(
+    assert wq_numeric(std_params, std_state, 2.0).Wq == pytest.approx(
         2.533281358118e-02, rel=1e-10
     )
 
@@ -407,7 +407,7 @@ def test_wq_numeric_euler_integral_nodeless():
         * math.exp(math.lgamma(4.0 * lam) - 2.0 * math.lgamma(2.0 * lam))
         / (4.0 * math.pi * lam * lam * 2.0 ** (4.0 * lam))
     )
-    assert wq_numeric(p, state, 2.0) == pytest.approx(expected, rel=1e-10)
+    assert wq_numeric(p, state, 2.0).Wq == pytest.approx(expected, rel=1e-10)
 
 
 def test_wq_numeric_real_q_path_is_continuous(std_params, std_state):
@@ -415,15 +415,15 @@ def test_wq_numeric_real_q_path_is_continuous(std_params, std_state):
     # bound (1e-10) and q = 2 + 1e-6 to the real-q bound (1e-8), so this
     # checks continuity across that switch.  The drift S * dq ~ 4e-6
     # bounds their difference.
-    w_int = wq_numeric(std_params, std_state, 2.0)
-    w_real = wq_numeric(std_params, std_state, 2.000001)
+    w_int = wq_numeric(std_params, std_state, 2.0).Wq
+    w_real = wq_numeric(std_params, std_state, 2.000001).Wq
     assert abs(w_real - w_int) / w_int < 1e-5
 
 
 def test_renyi_orders_nonincreasing_numeric(std_params):
     state = solve_state(std_params, StateSpec(2, 1))
     renyi = [
-        math.log(wq_numeric(std_params, state, float(q))) / (1.0 - q) for q in (2, 3, 4)
+        wq_numeric(std_params, state, float(q)).log_Wq / (1.0 - q) for q in (2, 3, 4)
     ]
     assert renyi[0] >= renyi[1] >= renyi[2]
 
@@ -450,7 +450,7 @@ def test_wq_numeric_matches_mpmath_moment_sum(De, n, m, q, mp_laguerre_power_mom
                    / (mpmath.gamma(n + 2 * lam) * (n + lam) * mpmath.pi))
         angular = 2 * mpmath.pi * mpmath.binomial(2 * q, q) / mpmath.mpf(4) ** q
         ref = norm_sq**q * angular * radial / (4 * beta**2)
-    numeric = wq_numeric(p, state, float(q))
+    numeric = wq_numeric(p, state, float(q)).Wq
     assert numeric == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
 
@@ -479,7 +479,7 @@ def test_wq_numeric_real_q_matches_mpmath(q):
         radial = mpmath.quad(integrand, [0] + zeros + [mpmath.inf]) / (4 * beta**2)
         angular = 2 * mpmath.sqrt(mpmath.pi) * mpmath.gamma(qm + 0.5) / mpmath.gamma(qm + 1)
         ref = radial * angular
-    assert wq_numeric(p, state, q) == pytest.approx(float(ref), rel=1e-10, abs=0.0)
+    assert wq_numeric(p, state, q).Wq == pytest.approx(float(ref), rel=1e-10, abs=0.0)
 
 
 def test_wq_numeric_rejects_bad_q(std_params, std_state):

@@ -137,7 +137,7 @@ def test_wq_widens_a_cut_whose_tail_fails_the_check(monkeypatch):
     # call's value.
     p = make_params(De=1.0, re=1.0)
     state = solve_state(p, StateSpec(4, 1))
-    expected = wq_numeric(p, state, 3.0)
+    expected = wq_numeric(p, state, 3.0).Wq
     tail_cut, masses = oracle._tail_cut, []
 
     def overestimated(p_, k, c, zeros, log_scale, log_mass=None):
@@ -145,7 +145,7 @@ def test_wq_widens_a_cut_whose_tail_fails_the_check(monkeypatch):
         return tail_cut(p_, k, c, zeros, log_scale, 100.0 if log_mass is None else log_mass)
 
     monkeypatch.setattr(oracle, "_tail_cut", overestimated)
-    assert wq_numeric(p, state, 3.0) == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert wq_numeric(p, state, 3.0).Wq == pytest.approx(expected, rel=1e-13, abs=0.0)
     assert len(masses) == 2 and masses[0] is None and masses[1] is not None
 
 

@@ -195,7 +195,7 @@ def test_mathieu_matrix_zero_coupling_exact():
 @pytest.mark.parametrize(
     "m_eff,b",
     [(0.5, 0.4), (1.0, 0.4), (1.0, 1.0), (1.5, 0.4), (2.0, 0.4), (3.0, 2.0),
-     (4.0, 50.0), (4.5, 20.0)],
+     (4.0, 50.0), (4.5, 20.0), (8.0, 100.0)],
 )
 def test_mathieu_matrix_matches_scipy_at_integer_orders(m_eff, b):
     # At integer order nu = 2 m_eff the even branch is scipy's a_nu(b),
@@ -226,8 +226,15 @@ def test_mathieu_solution_satisfies_recurrence():
 
 
 def test_mathieu_solution_grows_truncation_for_large_coupling():
-    sol = mathieu_even_solution(2.2, 20.0)
-    assert sol.char_number == pytest.approx(27.8681534355, rel=1e-9)
+    # At (7.9, 120) the starting truncation K = 31 leaves a Fourier tail
+    # above tolerance, so the solution doubles K once, to 62; its
+    # characteristic number is the one a K = 124 solve settles on.
+    with pytest.raises(TruncationError):
+        mathieu_char_matrix(7.9, 120.0, K=31)
+    sol = mathieu_even_solution(7.9, 120.0)
+    assert sol.truncation == 62
+    wide = mathieu_char_matrix(7.9, 120.0, K=124).char_number
+    assert sol.char_number == pytest.approx(wide, rel=1e-9)
     tail = max(abs(sol.coeffs[0]), abs(sol.coeffs[-1]))
     assert tail <= 1e-12 * np.max(np.abs(sol.coeffs))
 

@@ -47,6 +47,9 @@ def test_make_params_validation():
         dict(De=1.0, re=1.0, Dm=-0.1),
         dict(De=1.0, re=1.0, delta=-0.2),
         dict(De=1.0, re=1.0, mu=0.0),
+    ] + [
+        {**dict(De=1.0, re=1.0, Dm=0.1, delta=0.2), name: value}
+        for name in ("De", "re", "Dm", "delta", "mu") for value in (math.nan, math.inf)
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
@@ -113,7 +116,7 @@ def test_standard_state_chain(std_params, std_state):
     assert std_state.beta == pytest.approx(1.0448154999, rel=1e-9)
     assert std_state.energy == pytest.approx(-0.5458197144, rel=1e-9)
     assert std_state.energy_total == pytest.approx(0.4541802856, rel=1e-9)
-    assert std_state.norm == pytest.approx(0.2733917286, rel=1e-9)
+    assert math.exp(0.5 * std_state.log_norm_sq) == pytest.approx(0.2733917286, rel=1e-9)
     assert std_state.mode is AngularMode.PAPER_COSINE
 
 
