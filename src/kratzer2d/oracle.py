@@ -11,9 +11,14 @@ last zero where a proven bound on the remaining tail (concavity of the
 log-integrand there) meets a budget, and that bound joins the error
 estimate.  A Gauss-Laguerre rule's nodes are the eigenvalues of the
 Jacobi matrix; its weights come from the closed formula in L_{K+1},
-evaluated in log space, so that every weight keeps its relative accuracy
-down to the smallest (eigenvector components carry only absolute
-accuracy, which the doubled guard rule would then report as drift).  Angular integrals,
+evaluated in log space by specfun.log_abs_laguerre, so that every weight
+keeps its relative accuracy down to the smallest (eigenvector components
+carry only absolute accuracy, which the doubled guard rule would then
+report as drift).  Every L_n here comes from specfun's one rescaled
+recurrence; Shannon and W_q take it as ln |L_n|, so they stay finite at
+degrees where L_n itself leaves the double range, and Fisher, which
+needs L_n itself, raises AccuracyError there.  Every accuracy gate is
+written ``not err <= bound``, so a NaN estimate raises.  Angular integrals,
 for Fisher and the entropies alike and in both angular modes, are
 ANGULAR_GRID-node uniform trapezoid sums over one turn of the one
 profile class (cosine mode is its b = 0 case), the definition that the
@@ -47,7 +52,7 @@ from .system import (
     beta_param,
     profile_key,
 )
-from .specfun import _scipy_linalg, eigh_tridiagonal, laguerre
+from .specfun import _scipy_linalg, eigh_tridiagonal, laguerre, log_abs_laguerre
 
 __all__ = [
     "AccuracyError",
@@ -98,42 +103,17 @@ def _laguerre_roots(n: int, alpha: float) -> np.ndarray:
     return roots
 
 
-def _log_abs_monic_laguerre(K: int, alpha: float, x: np.ndarray) -> np.ndarray:
-    """ln |p_K(x)| for the monic Laguerre polynomial p_K = (-1)^K K! L_K^(alpha).
-
-    Upward three-term recurrence, vectorised over ``x``; every few steps
-    each point's pair of values is rescaled by a power of two (exact)
-    and the exponent carried, so large degrees and orders cannot
-    overflow.
-    """
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    nxt = np.empty_like(x)
-    exponent = np.zeros(x.shape, dtype=np.int64)
-    for k in range(K):
-        # p_{k+1} = (x - (2k + alpha + 1)) p_k - k (k + alpha) p_{k-1}
-        np.subtract(x, 2.0 * k + alpha + 1.0, out=nxt)
-        nxt *= cur
-        prev *= k * (k + alpha)
-        nxt -= prev
-        prev, cur, nxt = cur, nxt, prev
-        if k % 4 == 3:
-            _, e = np.frexp(cur)
-            np.ldexp(cur, -e, out=cur)
-            np.ldexp(prev, -e, out=prev)
-            exponent += e
-    return np.log(np.abs(cur)) + exponent * math.log(2.0)
-
-
 def _scaled_gauss_laguerre(alpha: float, K: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Nodes, unit-mass weights, and ln Gamma(alpha+1) carried separately.
 
     The weights follow w_i = Gamma(K+alpha+1) x_i / (K! (K+1)^2
     [L_{K+1}^(alpha)(x_i)]^2) (Golub & Welsch 1969; DLMF 3.5(v)), taken
-    in log space and normalised to unit mass, which absorbs the constant.
+    in log space from ``log_abs_laguerre``, which does not overflow at
+    large K or alpha, and normalised to unit mass, which absorbs the
+    constant.
     """
     nodes = _laguerre_roots(K, alpha)
-    log_w = np.log(nodes) - 2.0 * _log_abs_monic_laguerre(K + 1, alpha, nodes)
+    log_w = np.log(nodes) - 2.0 * log_abs_laguerre(K + 1, alpha, nodes)
     weights = np.exp(log_w - np.max(log_w))
     return nodes, weights / weights.sum(), math.lgamma(alpha + 1.0)
 
@@ -184,12 +164,6 @@ def angular_integrals_numeric(
         ipow=h * float(np.sum(np.abs(phi) ** (2.0 * q))),
     )
     return profile.integrals[key]
-
-
-def _lag(n: int, alpha: float, x: np.ndarray) -> np.ndarray:
-    if n < 0:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    return laguerre(n, alpha, x)
 
 
 # Panel rule for the radial integrands of Shannon and W_q, which may carry
@@ -341,8 +315,8 @@ def fisher_numeric(params: SystemParams, solved: SolvedState) -> FisherResult:
 
     def parts(K: int) -> tuple[float, float]:
         nodes, weights, log_mass = _scaled_gauss_laguerre(twol - 2.0, K)
-        ln = _lag(n, twol - 1.0, nodes)
-        lnm1 = _lag(n - 1, twol, nodes)
+        ln = laguerre(n, twol - 1.0, nodes)
+        lnm1 = laguerre(n - 1, twol, nodes) if n else 0.0
         # x * d/dx ln(radial density) recombined into a polynomial square
         poly = ((twol - 1.0 - nodes) * ln - 2.0 * nodes * lnm1) ** 2
         scale = math.exp(solved.log_norm_sq + log_mass)
@@ -354,7 +328,7 @@ def fisher_numeric(params: SystemParams, solved: SolvedState) -> FisherResult:
     i2 = 4.0 * ang.ideriv * r2b
     drift = abs(r1 - r1b) + abs(r2 - r2b)
     total = i1 + i2
-    if drift > 1e-10 * max(abs(total), 1.0):
+    if not drift <= 1e-10 * max(abs(total), 1.0):
         raise AccuracyError("Fisher quadrature did not settle", drift / abs(total))
     return FisherResult(total, i1, i2)
 
@@ -404,7 +378,7 @@ def shannon_numeric(
         rows = np.empty((2, x.size))
         with np.errstate(divide="ignore", invalid="ignore"):
             log_x = np.log(x)
-            log_rho = 2.0 * np.log(np.abs(_lag(n, twol - 1.0, x)))
+            log_rho = 2.0 * log_abs_laguerre(n, twol - 1.0, x)
             log_rho += (twol - 1.0) * log_x - x + solved.log_norm_sq
             np.exp(log_rho + log_x - math.log(4.0 * beta * beta), out=rows[1])
             np.multiply(rows[1], log_rho, out=rows[0])
@@ -414,7 +388,7 @@ def shannon_numeric(
     zeros, upper, weight_tail, row_tail = _shannon_cut(solved)
     (r_log_p, norm_p), (r_log, norm_int) = _panel_integrals(integrands, zeros, upper)
     achieved = (abs(r_log_p - r_log) + abs(norm_p - norm_int)) + weight_tail + row_tail
-    if achieved > target:
+    if not achieved <= target:
         raise AccuracyError("Shannon radial quadrature did not converge", achieved)
     return -ang.i2norm * float(r_log) - ang.ilog * float(norm_int)
 
@@ -449,8 +423,7 @@ def wq_numeric(params: SystemParams, solved: SolvedState, q: float) -> EntropicM
     offset = alpha * (math.log(alpha) - 1.0) if alpha > 1.0 else 0.0
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            log_lag = np.log(np.abs(_lag(n, twol - 1.0, u / q)))
+        log_lag = log_abs_laguerre(n, twol - 1.0, u / q)
         return np.exp(alpha * np.log(u) - u + 2.0 * q * log_lag - offset)
 
     zeros = q * _laguerre_roots(n, twol - 1.0)
@@ -468,7 +441,7 @@ def wq_numeric(params: SystemParams, solved: SolvedState, q: float) -> EntropicM
                             math.exp(log_tail - log_mass))
     err = abs(rough - radial) + math.exp(log_tail)
     tol = 1e-10 if float(q).is_integer() else 1e-8
-    if err > tol * radial:
+    if not err <= tol * radial:
         raise AccuracyError("W_q radial quadrature did not converge", err / radial)
     return EntropicMoment(q, log_front + offset + log_mass)
 
@@ -477,7 +450,6 @@ def radial_fd_eigen(
     params: SystemParams,
     m: int,
     count: int,
-    method: str = "series",
 ) -> list[float]:
     """Lowest radial eigenvalues by second-order finite differences.
 
@@ -491,7 +463,7 @@ def radial_fd_eigen(
     """
     if count < 1 or count > 10:
         raise ValueError(f"radial_fd_eigen supports 1 <= count <= 10, got {count}")
-    e_theta = angular_eigenvalue(params, m, method)
+    e_theta = angular_eigenvalue(params, m)
     radicand = -e_theta + 2.0 * params.mu * params.B + params.delta**2
     if radicand <= 0.0:
         raise UnboundAngularError(f"no bound radial branch (radicand {radicand:.3g})")
@@ -514,6 +486,6 @@ def radial_fd_eigen(
     fine = spectrum(8003)
     extrap = (4.0 * fine - coarse) / 3.0
     resid = float(np.max(np.abs(fine - extrap) / np.abs(extrap)))
-    if resid > 5e-5:
+    if not resid <= 5e-5:
         raise AccuracyError("finite-difference spectrum not grid-converged", resid)
     return [float(e) / (2.0 * params.mu) for e in extrap]

@@ -33,6 +33,7 @@ __all__ = [
     "ValidityWarning",
     "digamma",
     "laguerre",
+    "log_abs_laguerre",
     "MathieuEvenSolution",
     "mathieu_char_series",
     "mathieu_char_matrix",
@@ -106,25 +107,76 @@ def digamma(x: float) -> float:
     return acc + math.log(y) - 0.5 / y - tail
 
 
-def laguerre(n: int, alpha: float, x):
-    """Generalized Laguerre polynomial L_n^(alpha)(x) by upward recurrence.
+_RESCALE_STEPS = 8
 
-    ``x`` may be a scalar or ndarray; the return type matches.  The
-    three-term recurrence is numerically benign for the n <= O(100)
-    degrees used here.
+
+def _laguerre_scaled(n: int, alpha: float, x):
+    """(mantissa, exponent) with L_n^(alpha)(x) = mantissa * 2^exponent.
+
+    The upward three-term recurrence
+    (k + 1) L_{k+1} = (2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1},
+    run in place.  Every _RESCALE_STEPS steps the pair (L_k, L_{k-1}) at
+    each point is divided by the power of two of L_k, which is exact, and
+    that power is added to the exponent: the float 0.0 until the first
+    rescale (n <= _RESCALE_STEPS never rescales), a float array from then
+    on.  A step grows the pair by at most a factor of
+    |x| + 3k + 2 alpha + 1, so between rescales it grows by at most that
+    factor to the eighth power, far inside the double range while the
+    factor stays below 1e38.  Every operation sees the plain recurrence's
+    values times a power of two, so the mantissa carries that
+    recurrence's rounding, bit for bit, wherever its values stay normal
+    doubles.
     """
     if n < 0:
         raise ValueError(f"laguerre requires n >= 0, got {n}")
     if alpha <= -1.0:
         raise ValueError(f"laguerre requires alpha > -1, got {alpha}")
     xa = np.asarray(x, dtype=float)
+    exponent = 0.0
     prev = np.ones_like(xa)
     if n == 0:
-        return float(prev) if np.isscalar(x) else prev
-    cur = 1.0 + alpha - xa
+        return prev, exponent
+    cur = np.subtract(1.0 + alpha, xa, out=np.empty_like(xa))
+    nxt = np.empty_like(xa)
     for k in range(1, n):
-        prev, cur = cur, ((2.0 * k + 1.0 + alpha - xa) * cur - (k + alpha) * prev) / (k + 1.0)
-    return float(cur) if np.isscalar(x) else cur
+        np.subtract(2.0 * k + 1.0 + alpha, xa, out=nxt)
+        nxt *= cur
+        prev *= k + alpha
+        nxt -= prev
+        nxt /= k + 1.0
+        prev, cur, nxt = cur, nxt, prev
+        if k % _RESCALE_STEPS == 0:
+            _, e = np.frexp(cur)
+            np.ldexp(cur, -e, out=cur)
+            np.ldexp(prev, -e, out=prev)
+            exponent = exponent + e
+    return cur, exponent
+
+
+def laguerre(n: int, alpha: float, x):
+    """Generalized Laguerre polynomial L_n^(alpha)(x) by upward recurrence.
+
+    ``x`` may be a scalar or ndarray; the return type matches.  The
+    recurrence is ``_laguerre_scaled``'s, so the value is the plain
+    recurrence's to the bit wherever that stays finite, and is inf only
+    where |L_n| itself passes the double range.
+    """
+    mantissa, exponent = _laguerre_scaled(n, alpha, x)
+    out = np.ldexp(mantissa, np.asarray(exponent, dtype=np.int32))
+    return float(out) if np.isscalar(x) else out
+
+
+def log_abs_laguerre(n: int, alpha: float, x):
+    """ln |L_n^(alpha)(x)|, as ln |mantissa| + exponent ln 2 from ``_laguerre_scaled``.
+
+    Finite wherever L_n is nonzero, at any degree the recurrence reaches,
+    and -inf (without a numpy warning) at its zeros.  ``x`` may be a
+    scalar or ndarray; the return type matches.
+    """
+    mantissa, exponent = _laguerre_scaled(n, alpha, x)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.abs(mantissa)) + exponent * math.log(2.0)
+    return float(out) if np.isscalar(x) else out
 
 
 _SINGULAR_ORDERS = (0.5, 1.0, 1.5)

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .specfun import (
-    laguerre,
+    log_abs_laguerre,
     mathieu_char_series,
     mathieu_even_solution,
 )
@@ -359,20 +359,18 @@ def log_radial_density(solved: SolvedState, x):
     """ln of the radial density factor N^2 x^(2 lam - 1) e^-x L_n^2 at x = 2 beta r.
 
     Returns -inf at x = 0 and at Laguerre nodes; evaluating in logs
-    keeps extreme parameter scales (huge lambda) finite.
+    keeps extreme parameter scales (huge lambda, n in the hundreds) finite.
     """
     x = np.asarray(x, dtype=float)
     n, lam = solved.spec.n_r, solved.lam
     out = np.full_like(x, -np.inf)
     pos = x > 0.0
-    lag = laguerre(n, 2.0 * lam - 1.0, x[pos])
-    with np.errstate(divide="ignore"):
-        out[pos] = (
-            solved.log_norm_sq
-            + (2.0 * lam - 1.0) * np.log(x[pos])
-            - x[pos]
-            + 2.0 * np.log(np.abs(lag))
-        )
+    out[pos] = (
+        solved.log_norm_sq
+        + (2.0 * lam - 1.0) * np.log(x[pos])
+        - x[pos]
+        + 2.0 * log_abs_laguerre(n, 2.0 * lam - 1.0, x[pos])
+    )
     return out
 
 

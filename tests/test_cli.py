@@ -272,6 +272,18 @@ def test_moment_outside_exp_range_keeps_renyi_finite(flags, q, w, capsys):
     assert tail == f"W_{q}={w})"
 
 
+def test_unsettled_fisher_quadrature_exits_1(capsys):
+    # At n = 200 L_n passes the double range at the outer nodes of
+    # Fisher's doubled rule, so the drift is NaN; the gate must refuse it.
+    code = main(["compute", "--De", "3", "--re", "1", "--delta", "0.2", "--n", "200",
+                 "--m", "1", "--mode", "mathieu", "--method", "matrix",
+                 "--measure", "fisher"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: Fisher quadrature did not settle (achieved nan)\n"
+
+
 def test_unknown_preset_exits_1(capsys):
     assert main(["compute", "--preset", "Nope"]) == 1
     err = capsys.readouterr().err

@@ -21,6 +21,7 @@ from kratzer2d import (
     fisher_numeric,
     make_params,
     radial_fd_eigen,
+    renyi,
     shannon_numeric,
     solve_state,
     wq_numeric,
@@ -480,6 +481,21 @@ def test_wq_numeric_real_q_matches_mpmath(q):
         angular = 2 * mpmath.sqrt(mpmath.pi) * mpmath.gamma(qm + 0.5) / mpmath.gamma(qm + 1)
         ref = radial * angular
     assert wq_numeric(p, state, q).Wq == pytest.approx(float(ref), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [330, 400])
+def test_entropies_answer_at_quantum_numbers_in_the_hundreds(n):
+    # L_n passes the double range at the outer panel nodes from n = 330
+    # (De 3); the oracle works with ln |L_n| and must still answer, with
+    # W_1 normalised and R(1.01) within criterion 9's 0.02 of S.
+    p = make_params(De=3.0, re=1.0, delta=0.2)
+    state = solve_state(p, StateSpec(n, 1))
+    s = shannon_numeric(p, state)
+    w1 = wq_numeric(p, state, 1.0).Wq
+    r = renyi(wq_numeric(p, state, 1.01))
+    assert math.isfinite(s) and math.isfinite(w1) and math.isfinite(r)
+    assert abs(w1 - 1.0) <= 1e-10
+    assert abs(r - s) <= 0.02
 
 
 def test_wq_numeric_rejects_bad_q(std_params, std_state):

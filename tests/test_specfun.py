@@ -28,6 +28,7 @@ from kratzer2d.specfun import (
     digamma,
     gamma0,
     laguerre,
+    log_abs_laguerre,
     log_gamma0,
     mathieu_char_matrix,
     mathieu_char_series,
@@ -100,6 +101,50 @@ def test_laguerre_three_term_recurrence_residual():
         ) * laguerre(n - 1, alpha, x)
         scale = np.max(np.abs(lhs)) + 1.0
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * scale
+
+
+def _plain_laguerre(n, alpha, x):
+    # The upward recurrence without rescaling, as laguerre ran it before.
+    prev = np.ones_like(x)
+    if n == 0:
+        return prev
+    cur = 1.0 + alpha - x
+    for k in range(1, n):
+        prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
+    return cur
+
+
+def test_laguerre_equals_the_plain_recurrence_to_the_bit():
+    # Rescaling by powers of two is exact, so below overflow the scaled
+    # recurrence returns the plain one's bits, across several rescales.
+    for n in range(41):
+        x = np.linspace(0.0, 4.0 * n + 40.0, 3000)
+        for alpha in (0.3, 1.7, 7.3, 12.9):
+            ours = laguerre(n, alpha, x)
+            ref = _plain_laguerre(n, alpha, x)
+            assert np.array_equal(ours.view(np.int64), ref.view(np.int64)), (n, alpha)
+
+
+@pytest.mark.parametrize("n", [200, 330, 400])
+@pytest.mark.parametrize("alpha", [2.9, 60.0])
+def test_log_abs_laguerre_matches_mpmath_at_large_degree(n, alpha):
+    # Out to x = 2500, where |L_n| reaches about 10^297 at n = 200 and
+    # 10^456 at n = 400, past the double range from n = 330 on.
+    # Reference: mpmath's L_n at 60 digits.
+    mpmath = pytest.importorskip("mpmath")
+    x = np.linspace(0.37, 2500.0, 41)
+    ours = log_abs_laguerre(n, alpha, x)
+    with mpmath.workdps(60):
+        ref = [float(mpmath.log(abs(mpmath.laguerre(n, alpha, mpmath.mpf(float(v))))))
+               for v in x]
+    for got, want in zip(ours, ref):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_log_abs_laguerre_is_minus_inf_at_a_zero():
+    # L_1^(a)(x) = a + 1 - x vanishes at x = a + 1 exactly.
+    assert log_abs_laguerre(1, 0.5, 1.5) == -math.inf
+    assert log_abs_laguerre(2, 0.5, 1.0) == pytest.approx(math.log(0.125), rel=1e-13)
 
 
 def test_laguerre_scalar_in_scalar_out():
