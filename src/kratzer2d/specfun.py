@@ -173,9 +173,11 @@ def log_abs_laguerre(n: int, alpha: float, x):
     and -inf (without a numpy warning) at its zeros.  ``x`` may be a
     scalar or ndarray; the return type matches.
     """
-    mantissa, exponent = _laguerre_scaled(n, alpha, x)
+    out, exponent = _laguerre_scaled(n, alpha, x)
+    np.abs(out, out=out)
     with np.errstate(divide="ignore"):
-        out = np.log(np.abs(mantissa)) + exponent * math.log(2.0)
+        np.log(out, out=out)
+    out += exponent * math.log(2.0)
     return float(out) if np.isscalar(x) else out
 
 
