@@ -110,10 +110,6 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
         "atomic-unit values with mu=1 (reproduces the published tables); "
         "'converted' applies the physical unit conversion",
     )
-    sub.add_argument(
-        "--mu-convention", choices=molecules.MU_CONVENTIONS, default="nist",
-        help="reduced-mass convention for --units converted",
-    )
 
 
 def _preset_params(preset: molecules.MoleculePreset,
@@ -121,8 +117,7 @@ def _preset_params(preset: molecules.MoleculePreset,
     """A preset's parameters as --units reads them, with --D and --delta."""
     if args.units == "raw":
         return molecules.raw_number_params(preset, Dm=args.D, delta=args.delta)
-    return molecules.to_atomic_units(preset, Dm=args.D, delta=args.delta,
-                                     mu_convention=args.mu_convention)
+    return molecules.to_atomic_units(preset, Dm=args.D, delta=args.delta)
 
 
 def _params_from_args(parser: argparse.ArgumentParser,
@@ -136,7 +131,7 @@ def _params_from_args(parser: argparse.ArgumentParser,
         params = _preset_params(preset, args)
         note = (f"preset {preset.name}, raw-numbers interpretation (mu=1)"
                 if args.units == "raw" else
-                f"preset {preset.name}, converted units ({args.mu_convention} mass)")
+                f"preset {preset.name}, converted units (nist mass)")
         if args.mu is not None:
             params = make_params(De=params.De, re=params.re, Dm=params.Dm,
                                  delta=params.delta, mu=args.mu)
@@ -144,6 +139,8 @@ def _params_from_args(parser: argparse.ArgumentParser,
         return params, note
     if args.De is None or args.re is None:
         parser.error("either --preset or both --De and --re are required")
+    if args.units != "raw":
+        parser.error(f"--units {args.units} applies only to --preset")
     mu = 1.0 if args.mu is None else args.mu
     params = make_params(De=args.De, re=args.re, Dm=args.D, delta=args.delta, mu=mu)
     return params, "explicit parameters"
@@ -290,7 +287,7 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     units_note = (
         "raw-numbers interpretation (tabulated De/re used as atomic-unit values)"
-        if args.units == "raw" else f"converted units, {args.mu_convention} masses"
+        if args.units == "raw" else "converted units, nist masses"
     )
     footer = [
         f"q = {args.q} (Tsallis/Renyi order); delta = {_fmt(args.delta)}; "
@@ -327,8 +324,10 @@ def _report_check(result: CheckResult) -> None:
 
 def cmd_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     names = None
-    if args.checks:
+    if args.checks is not None:
         names = [part.strip() for part in args.checks.split(",") if part.strip()]
+        if not names:
+            parser.error("--checks must name at least one check")
     with warnings.catch_warnings():
         # The checks deliberately walk into warned-about territory
         # (out-of-range couplings); the verdict lines already carry the
@@ -370,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--q", type=int, default=2,
                          help="Tsallis/Renyi order (recorded in the footer)")
     p_table.add_argument("--units", choices=UNIT_CHOICES, default="raw")
-    p_table.add_argument("--mu-convention", choices=molecules.MU_CONVENTIONS,
-                         default="nist")
     p_table.add_argument("--method", choices=("series", "matrix"), default="series")
     p_table.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     p_table.add_argument("--output", help="output path (default stdout)")

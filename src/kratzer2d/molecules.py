@@ -24,7 +24,6 @@ __all__ = [
     "ATOMIC_MASS_LI7",
     "ATOMIC_MASS_SI28",
     "ATOMIC_MASS_SN120",
-    "MU_CONVENTIONS",
     "get_preset",
     "list_presets",
     "load_presets",
@@ -42,8 +41,6 @@ ATOMIC_MASS_CS133 = 132.905451961
 ATOMIC_MASS_LI7 = 7.0160034366
 ATOMIC_MASS_SI28 = 27.97692653465
 ATOMIC_MASS_SN120 = 119.90220163
-
-MU_CONVENTIONS = ("nist", "amu", "one")
 
 
 @dataclass(frozen=True)
@@ -155,39 +152,22 @@ def get_preset(name: str, override_path: str | Path | None = None) -> MoleculePr
 
 
 def to_atomic_units(
-    preset: MoleculePreset,
-    Dm: float = 0.0,
-    delta: float = 0.0,
-    mu_convention: str = "nist",
+    preset: MoleculePreset, Dm: float = 0.0, delta: float = 0.0
 ) -> SystemParams:
     """Convert a preset to solver parameters in Hartree atomic units.
 
     ``Dm`` (dipole strength, hartree*bohr^2) and ``delta`` (flux ratio)
     are supplied by the caller; the preset carries no values for them.
-    ``mu_convention`` selects the reduced mass:
-
-    - ``"nist"``: mu_amu converted to electron masses (physical choice);
-    - ``"amu"``: the bare amu number used as-is;
-    - ``"one"``: mu = 1.
-
-    The alternatives exist because published table values depend on a
-    mass convention their sources leave unstated.
+    The reduced mass is ``mu_amu`` in electron masses.  This physical
+    reading does not reproduce the published tables, which follow the
+    raw numbers (see ``raw_number_params``).
     """
-    if mu_convention not in MU_CONVENTIONS:
-        raise ValueError(
-            f"mu_convention must be one of {MU_CONVENTIONS}, got {mu_convention!r}"
-        )
-    mu = {
-        "nist": preset.mu_amu * ELECTRON_MASSES_PER_AMU,
-        "amu": preset.mu_amu,
-        "one": 1.0,
-    }[mu_convention]
     return make_params(
         De=preset.De_eV * HARTREE_PER_EV,
         re=preset.re_angstrom / BOHR_RADIUS_ANGSTROM,
         Dm=Dm,
         delta=delta,
-        mu=mu,
+        mu=preset.mu_amu * ELECTRON_MASSES_PER_AMU,
     )
 
 

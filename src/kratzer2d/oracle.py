@@ -15,17 +15,17 @@ evaluated in log space by specfun.log_abs_laguerre, so that every weight
 keeps its relative accuracy down to the smallest (eigenvector components
 carry only absolute accuracy, which the doubled guard rule would then
 report as drift).  Every L_n here comes from specfun's one rescaled
-recurrence; Shannon and W_q take it as ln |L_n|, so they stay finite at
-degrees where L_n itself leaves the double range, and Fisher, which
-needs L_n itself, raises AccuracyError there.  Every accuracy gate is
-written ``not err <= bound``, so a NaN estimate raises.  Angular integrals,
-for Fisher and the entropies alike and in both angular modes, are
-ANGULAR_GRID-node uniform trapezoid sums over one turn of the one
-profile class (cosine mode is its b = 0 case), the definition that the
-package and benchmarks/reference.py share; angular_integrals_numeric
-says how far they sit from the exact integrals.  The radial spectrum
-is re-derived with a finite-difference eigensolver that never touches
-the closed-form quantisation.  Large
+recurrence; Shannon and W_q take it as ln |L_n|, and Fisher as a
+mantissa whose power of two joins the log weights, so all three stay
+finite at degrees where L_n itself leaves the double range.  Every
+accuracy gate is written ``not err <= bound``, so a NaN estimate raises.
+Angular integrals, for Fisher and the entropies alike and in both
+angular modes, are ANGULAR_GRID-node uniform trapezoid sums over one
+turn of the one profile class (cosine mode is its b = 0 case), the
+definition that the package and benchmarks/reference.py share;
+angular_integrals_numeric says how far they sit from the exact
+integrals.  The radial spectrum is re-derived with a finite-difference
+eigensolver that never touches the closed-form quantisation.  Large
 parameter scales are handled by keeping normalisation prefactors in log
 space; quadrature weights are normalised and their Gamma(alpha+1) mass
 carried separately.
@@ -52,7 +52,7 @@ from .system import (
     beta_param,
     profile_key,
 )
-from .specfun import _scipy_linalg, eigh_tridiagonal, laguerre, log_abs_laguerre
+from .specfun import _laguerre_scaled, _scipy_linalg, eigh_tridiagonal, log_abs_laguerre
 
 __all__ = [
     "AccuracyError",
@@ -103,19 +103,19 @@ def _laguerre_roots(n: int, alpha: float) -> np.ndarray:
     return roots
 
 
-def _scaled_gauss_laguerre(alpha: float, K: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Nodes, unit-mass weights, and ln Gamma(alpha+1) carried separately.
+def _log_gauss_laguerre(alpha: float, K: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Nodes, ln of the weights shifted to a largest value of 0, and
+    ln Gamma(alpha+1).
 
     The weights follow w_i = Gamma(K+alpha+1) x_i / (K! (K+1)^2
     [L_{K+1}^(alpha)(x_i)]^2) (Golub & Welsch 1969; DLMF 3.5(v)), taken
     in log space from ``log_abs_laguerre``, which does not overflow at
-    large K or alpha, and normalised to unit mass, which absorbs the
-    constant.
+    large K or alpha; the shift drops the constant, which normalising to
+    unit mass absorbs.
     """
     nodes = _laguerre_roots(K, alpha)
     log_w = np.log(nodes) - 2.0 * log_abs_laguerre(K + 1, alpha, nodes)
-    weights = np.exp(log_w - np.max(log_w))
-    return nodes, weights / weights.sum(), math.lgamma(alpha + 1.0)
+    return nodes, log_w - np.max(log_w), math.lgamma(alpha + 1.0)
 
 
 def angular_integrals_numeric(
@@ -314,9 +314,15 @@ def fisher_numeric(params: SystemParams, solved: SolvedState) -> FisherResult:
     twol = 2.0 * lam
 
     def parts(K: int) -> tuple[float, float]:
-        nodes, weights, log_mass = _scaled_gauss_laguerre(twol - 2.0, K)
-        ln = laguerre(n, twol - 1.0, nodes)
-        lnm1 = laguerre(n - 1, twol, nodes) if n else 0.0
+        nodes, log_w, log_mass = _log_gauss_laguerre(twol - 2.0, K)
+        # L_n = ln 2^e and L_{n-1} = lnm1 2^e: the squares' 2^(2e) joins the
+        # unit-mass weights in log space, where neither over- nor underflows
+        ln, e = _laguerre_scaled(n, twol - 1.0, nodes)
+        lnm1 = 0.0
+        if n:
+            mantissa, e_prev = _laguerre_scaled(n - 1, twol, nodes)
+            lnm1 = np.ldexp(mantissa, np.asarray(e_prev - e, dtype=np.int32))
+        weights = np.exp(log_w + 2.0 * math.log(2.0) * e) / np.exp(log_w).sum()
         # x * d/dx ln(radial density) recombined into a polynomial square
         poly = ((twol - 1.0 - nodes) * ln - 2.0 * nodes * lnm1) ** 2
         scale = math.exp(solved.log_norm_sq + log_mass)

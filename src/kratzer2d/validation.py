@@ -5,9 +5,10 @@ and its tolerance; the CLI ``validate`` command prints one line per
 check and exits nonzero if any fails (a check that raises is reported
 as an ``[ERROR]`` line, counted as failed, and the rest still run).
 The table machinery compares computed measures against published
-reference values for three diatomic molecules under several unit
-interpretations, because the reference tables do not state the mass
-convention or entropy order they used.
+reference values for three diatomic molecules at order q = 2 under the
+two readings of the preset numbers: the physical unit conversion, and
+the raw eV / angstrom numbers read as atomic-unit values with mu = 1,
+the reading closest to the tables.
 
 :func:`evaluate` is the one place that routes a measure to its closed
 form or to the oracle; the CLI commands, the trend suite and the table
@@ -393,80 +394,63 @@ REFERENCE_MEASURES: dict[tuple[int, int], dict[str, dict[str, float]]] = {
 
 TABLE_DELTA = 0.2
 TABLE_DIPOLE = 0.4
+TABLE_Q = 2
 
 
-def _computed_tables(
-    params_by_molecule: Mapping[str, SystemParams], q_values: Iterable[int]
-) -> dict[int, dict[tuple[int, int], dict[str, dict[str, float]]]]:
-    """Measures for the reference-table states at each order q, routed
+def _computed_table(
+    params_by_molecule: Mapping[str, SystemParams]
+) -> dict[tuple[int, int], dict[str, dict[str, float]]]:
+    """Measures for the reference-table states at order TABLE_Q, routed
     by :func:`evaluate` (closed Fisher/Tsallis/Renyi, numerical Shannon:
     the reference Shannon values follow the exact integral, not the
-    asymptotic closed form).  Each state is solved, and its Fisher and
-    Shannon values computed, once for all orders; Tsallis and Renyi
-    share one W_q per state and order."""
-    tables: dict[int, dict[tuple[int, int], dict[str, dict[str, float]]]] = {
-        q: {} for q in q_values}
+    asymptotic closed form)."""
+    table: dict[tuple[int, int], dict[str, dict[str, float]]] = {}
     for (n, m) in TABLE_ROWS:
-        for table in tables.values():
-            table[(n, m)] = {}
+        table[(n, m)] = {}
         for name, params in params_by_molecule.items():
             state, _ = _solve(params, StateSpec(n, m))
-            _, common = evaluate(params, state, ("fisher", "shannon"))
-            for q, table in tables.items():
-                _, values = evaluate(params, state, ("tsallis", "renyi"), q)
-                table[(n, m)][name] = {"I": common["I"], "S": common["S"],
-                                       "T": values["T"], "R": values["R"]}
-    return tables
+            _, values = evaluate(params, state, ("fisher", "shannon", "tsallis", "renyi"),
+                                 TABLE_Q)
+            table[(n, m)][name] = {symbol: values[symbol] for symbol in "ISTR"}
+    return table
 
 
-def _table_configurations() -> list[tuple[str, Callable[[molecules.MoleculePreset], SystemParams]]]:
-    configs: list[tuple[str, Callable]] = [
-        (
-            f"converted-{conv}",
-            lambda p, c=conv: molecules.to_atomic_units(
-                p, Dm=TABLE_DIPOLE, delta=TABLE_DELTA, mu_convention=c
-            ),
-        )
-        for conv in molecules.MU_CONVENTIONS
-    ]
-    configs.append(
-        ("raw-numbers",
-         lambda p: molecules.raw_number_params(p, Dm=TABLE_DIPOLE, delta=TABLE_DELTA))
-    )
-    return configs
+# The two readings of the preset numbers, each as (label, preset -> params
+# given Dm and delta).
+_TABLE_CONFIGURATIONS = (
+    ("converted-nist", molecules.to_atomic_units),
+    ("raw-numbers", molecules.raw_number_params),
+)
 
 
 @dataclass(frozen=True)
 class TableScanEntry:
     label: str
-    q: int
     max_rel_dev: float | None
-    note: str = ""
     table: dict | None = field(default=None, repr=False, compare=False)
 
 
-def table_scan(q_values: tuple[int, ...] = (2, 3, 4, 5)) -> list[TableScanEntry]:
-    """Deviation of each unit-interpretation configuration from the
-    published table values, scanned over the entropy order q; each
-    entry keeps the table it scored."""
+def table_scan() -> list[TableScanEntry]:
+    """Deviation of each reading of the preset numbers from the published
+    table values; each entry keeps the table it scored.  Both are None
+    for a reading under which a table state is not bound."""
     presets = molecules.load_presets()
     entries: list[TableScanEntry] = []
-    for label, build in _table_configurations():
+    for label, build in _TABLE_CONFIGURATIONS:
         try:
-            params_map = {name: build(presets[name]) for name in TABLE_MOLECULES}
-            tables = _computed_tables(params_map, q_values)
-        except (UnboundAngularError, SeriesSingularError) as exc:
-            for q in q_values:
-                entries.append(TableScanEntry(label, q, None, f"no bound state ({exc})"))
+            table = _computed_table({
+                name: build(presets[name], Dm=TABLE_DIPOLE, delta=TABLE_DELTA)
+                for name in TABLE_MOLECULES})
+        except (UnboundAngularError, SeriesSingularError):
+            entries.append(TableScanEntry(label, None))
             continue
-        for q, table in tables.items():
-            dev = 0.0
-            for key, row in table.items():
-                for mol, ours in row.items():
-                    ref = REFERENCE_MEASURES[key][mol]
-                    for measure in ("I", "S", "T", "R"):
-                        dev = max(dev, abs(ours[measure] - ref[measure]) / abs(ref[measure]))
-            entries.append(TableScanEntry(label, q, dev, table=table))
+        dev = 0.0
+        for key, row in table.items():
+            for mol, ours in row.items():
+                ref = REFERENCE_MEASURES[key][mol]
+                for measure in ("I", "S", "T", "R"):
+                    dev = max(dev, abs(ours[measure] - ref[measure]) / abs(ref[measure]))
+        entries.append(TableScanEntry(label, dev, table=table))
     return entries
 
 
@@ -497,18 +481,17 @@ def ordering_violations(
 
 def check_table_patterns() -> CheckResult:
     """Reference-table reproduction: ordering patterns on the closest
-    unit interpretation, plus the quantitative deviation report."""
+    reading of the preset numbers, plus the quantitative deviation report."""
     entries = table_scan()
-    usable = [e for e in entries if e.max_rel_dev is not None]
-    best = min(usable, key=lambda e: e.max_rel_dev)
-    converted = [e for e in usable if e.label.startswith("converted")]
-    converted_best = min(converted, key=lambda e: e.max_rel_dev) if converted else None
+    best = min((e for e in entries if e.max_rel_dev is not None),
+               key=lambda e: e.max_rel_dev)
+    converted = next(e for e in entries if e.label.startswith("converted"))
     violations = ordering_violations(best.table)
-    parts = [f"closest config {best.label} (q={best.q}) max dev {best.max_rel_dev:.1%}"]
-    if converted_best is None or converted_best.max_rel_dev > 0.10:
+    parts = [f"closest config {best.label} (q={TABLE_Q}) max dev {best.max_rel_dev:.1%}"]
+    if converted.max_rel_dev is None or converted.max_rel_dev > 0.10:
         conv_txt = (
-            f"{converted_best.label} (q={converted_best.q}) at {converted_best.max_rel_dev:.0%}"
-            if converted_best else "all unbound"
+            f"{converted.label} (q={TABLE_Q}) at {converted.max_rel_dev:.0%}"
+            if converted.max_rel_dev is not None else "all unbound"
         )
         parts.append(
             "tables not reproducible from the stated inputs under documented "

@@ -15,7 +15,7 @@ independent numerical routes (see README, "Known failing checks"):
 * criterion 8  — the closed-form entropy gap grows, not shrinks, with
   the radial quantum number;
 * criterion 10 — the validate command exits nonzero because it runs
-  the two failing checks above.
+  the failing checks of criteria 4 and 8.
 
 Weakening the tolerances or special-casing the failures would hide
 exactly what these tests exist to measure.
@@ -101,8 +101,8 @@ def test_criterion_6_monotone_trends():
 
 def test_criterion_7_reference_table_patterns():
     # Molecule/quantum-number ordering patterns of the reference tables,
-    # plus the closest unit interpretation over q in {2..5} and three
-    # mass conventions (must come within 10% to count as reproduced).
+    # plus the closer of the two readings of the preset numbers at q = 2,
+    # raw and NIST-converted (must come within 10% to count as reproduced).
     _run(7, "reference-table ordering and closest-configuration scan",
          check_table_patterns, budget=None)
 

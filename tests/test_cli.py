@@ -12,10 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kratzer2d.cli
 import kratzer2d.measures
+import kratzer2d.oracle
 import kratzer2d.validation
 from kratzer2d import AccuracyError
 from kratzer2d.cli import main
@@ -185,10 +187,16 @@ def test_table_writes_output_file(tmp_path, capsys):
         ["sweep", "--var", "D", "--from", "0", "--to", "2", "--steps", "3"],
         ["compute", "--De", "1", "--re", "1", "--n", "-1"],
         ["compute", "--De", "1", "--re", "1", "--m", "-1"],
+        ["compute", "--De", "1", "--re", "1", "--units", "converted",
+         "--measure", "energy"],
+        ["validate", "--checks", ","],
+        ["compute", "--preset", "Cs2", "--mu-convention", "nist"],
+        ["table", "--mu-convention", "nist"],
     ],
     ids=["no-params", "preset-conflict", "tsallis-q1", "bad-measure",
          "one-step", "reversed-range", "two-measures", "missing-De",
-         "negative-n", "negative-m"],
+         "negative-n", "negative-m", "units-without-preset", "no-checks",
+         "compute-mu-convention", "table-mu-convention"],
 )
 def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -272,10 +280,12 @@ def test_moment_outside_exp_range_keeps_renyi_finite(flags, q, w, capsys):
     assert tail == f"W_{q}={w})"
 
 
-def test_unsettled_fisher_quadrature_exits_1(capsys):
-    # At n = 200 L_n passes the double range at the outer nodes of
-    # Fisher's doubled rule, so the drift is NaN; the gate must refuse it.
-    code = main(["compute", "--De", "3", "--re", "1", "--delta", "0.2", "--n", "200",
+def test_unsettled_fisher_quadrature_exits_1(monkeypatch, capsys):
+    # A recurrence that returns NaN makes Fisher's drift NaN; the gate
+    # must refuse it.
+    monkeypatch.setattr(kratzer2d.oracle, "_laguerre_scaled",
+                        lambda n, alpha, x: (np.full_like(x, np.nan), 0.0))
+    code = main(["compute", "--De", "3", "--re", "1", "--delta", "0.2", "--n", "2",
                  "--m", "1", "--mode", "mathieu", "--method", "matrix",
                  "--measure", "fisher"])
     assert code == 1

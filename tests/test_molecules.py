@@ -80,19 +80,6 @@ def test_to_atomic_units_passes_dipole_and_flux():
     assert params.delta == 0.3
 
 
-def test_mu_conventions():
-    sisn = get_preset("SiSn")
-    assert to_atomic_units(sisn, mu_convention="amu").mu == pytest.approx(
-        sisn.mu_amu, rel=1e-14, abs=0
-    )
-    assert to_atomic_units(sisn, mu_convention="one").mu == 1.0
-    assert to_atomic_units(sisn, mu_convention="nist").mu == pytest.approx(
-        sisn.mu_amu * ELECTRON_MASSES_PER_AMU, rel=1e-14
-    )
-    with pytest.raises(ValueError, match="mu_convention"):
-        to_atomic_units(sisn, mu_convention="kg")
-
-
 def test_raw_number_params_passthrough():
     li2 = get_preset("Li2")
     params = raw_number_params(li2, delta=0.2)

@@ -18,6 +18,7 @@ from kratzer2d import (
     AngularMode,
     StateSpec,
     angular_integrals_numeric,
+    fisher_closed,
     fisher_numeric,
     make_params,
     radial_fd_eigen,
@@ -35,8 +36,9 @@ from kratzer2d.validation import evaluate
 
 def _rule(alpha, K):
     """The oracle's K-point rule: nodes, and unit-mass weights times Gamma(alpha + 1)."""
-    nodes, weights, log_mass = oracle._scaled_gauss_laguerre(alpha, K)
-    return nodes, weights * math.exp(log_mass)
+    nodes, log_w, log_mass = oracle._log_gauss_laguerre(alpha, K)
+    weights = np.exp(log_w)
+    return nodes, weights / weights.sum() * math.exp(log_mass)
 
 
 def test_rule_one_point():
@@ -496,6 +498,17 @@ def test_entropies_answer_at_quantum_numbers_in_the_hundreds(n):
     assert math.isfinite(s) and math.isfinite(w1) and math.isfinite(r)
     assert abs(w1 - 1.0) <= 1e-10
     assert abs(r - s) <= 0.02
+
+
+@pytest.mark.parametrize("n", [120, 200, 400])
+def test_fisher_answers_at_quantum_numbers_in_the_hundreds(n):
+    # L_n^2 passes the double range at the outer nodes of the doubled rule
+    # from n = 120 (De 3); its power of two joins the log weights, and the
+    # quadrature must meet check_fisher's 1e-8 against the closed form.
+    p = make_params(De=3.0, re=1.0, delta=0.2)
+    state = solve_state(p, StateSpec(n, 1))
+    closed = fisher_closed(p, state).I
+    assert abs(fisher_numeric(p, state).I - closed) <= 1e-8 * closed
 
 
 def test_wq_numeric_rejects_bad_q(std_params, std_state):

@@ -19,8 +19,10 @@ from kratzer2d.validation import (
     check_entropic_moments,
     check_mathieu,
     check_renyi_limit,
+    check_table_patterns,
     ordering_violations,
     run_checks,
+    table_scan,
 )
 
 
@@ -100,6 +102,24 @@ def test_mathieu_check_reports_series_breakdown():
     result = check_mathieu()
     assert not result.passed
     assert result.worst == pytest.approx(13.85, rel=1e-2)
+
+
+def test_table_scan_scores_the_two_readings():
+    # The physical conversion binds no state at D = 0.4; the raw numbers do.
+    converted, raw = table_scan()
+    assert (converted.label, converted.max_rel_dev, converted.table) == (
+        "converted-nist", None, None)
+    assert raw.label == "raw-numbers"
+    assert raw.max_rel_dev == pytest.approx(0.674, abs=5e-4)
+    assert set(raw.table) == set(TABLE_ROWS)
+
+
+def test_table_patterns_check_reports_the_raw_reading():
+    result = check_table_patterns()
+    assert not result.passed
+    assert result.worst == 9.0
+    assert result.detail.startswith("closest config raw-numbers (q=2) max dev 67.4%; ")
+    assert result.detail.count("I not decreasing in m") == 9
 
 
 def test_reference_table_shape():
