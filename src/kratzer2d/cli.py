@@ -24,16 +24,15 @@ from typing import IO
 from . import molecules
 from .measures import shannon_closed
 from .oracle import AccuracyError
-from .specfun import SeriesSingularError, TruncationError, ValidityWarning
+from .specfun import TruncationError, ValidityWarning
 from .system import (
     AngularMode,
     StateSpec,
     SystemParams,
-    UnboundAngularError,
     make_params,
     solve_state,
 )
-from .validation import TABLE_ROWS, CheckResult, evaluate, run_checks
+from .validation import CheckResult, computed_table, evaluate, run_checks
 
 # Each measure and the symbol of its headline value.
 SYMBOLS = {"fisher": "I", "shannon": "S", "tsallis": "T", "renyi": "R",
@@ -53,7 +52,7 @@ COMPUTE_LINES = {
 SHANNON_CLOSED_LINE = ("shannon closed form (asymptotic): "
                        "S={S_closed} [S1={S1} S2={S2} S3={S3} S4={S4}]")
 UNIT_CHOICES = ("raw", "converted")
-# --q of compute and sweep; _check_q enforces it.
+# --q of compute and sweep; _check_flags enforces it.
 Q_HELP = "entropy order: integer >= 2 for tsallis/renyi, >= 1 for wq"
 
 
@@ -88,8 +87,8 @@ def _add_state_flags(sub: argparse.ArgumentParser) -> None:
         help="angular profile: closed-form cosine or numeric even solution",
     )
     sub.add_argument(
-        "--method", choices=("series", "matrix"), default="series",
-        help="angular eigenvalue route: power series or tridiagonal matrix",
+        "--method", choices=("series", "matrix"), default=None,
+        help="angular eigenvalue route (default: series in cosine mode, matrix in mathieu)",
     )
 
 
@@ -147,7 +146,8 @@ def _params_from_args(parser: argparse.ArgumentParser,
 
 
 def _parse_measures(parser: argparse.ArgumentParser, text: str) -> list[str]:
-    names = [part.strip() for part in text.split(",") if part.strip()]
+    """The named measures, each once, in first-seen order."""
+    names = list(dict.fromkeys(part.strip() for part in text.split(",") if part.strip()))
     bad = [name for name in names if name not in MEASURES]
     if bad:
         parser.error(f"unknown measure(s) {bad}; choose from {', '.join(MEASURES)}")
@@ -156,12 +156,16 @@ def _parse_measures(parser: argparse.ArgumentParser, text: str) -> list[str]:
     return names
 
 
-def _check_q(parser: argparse.ArgumentParser, measures: list[str], q: int) -> None:
-    """Refuse an entropy order that the requested measures cannot take."""
-    if q < 2 and ({"tsallis", "renyi"} & set(measures)):
+def _check_flags(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                 measures: list[str]) -> None:
+    """Refuse an entropy order that the requested measures cannot take, and
+    the series in Mathieu mode, whose profile is the matrix's."""
+    if args.q < 2 and ({"tsallis", "renyi"} & set(measures)):
         parser.error("--q must be an integer >= 2 for tsallis/renyi")
-    if q < 1 and "wq" in measures:
+    if args.q < 1 and "wq" in measures:
         parser.error("--q must be an integer >= 1 for wq")
+    if args.mode == "mathieu" and args.method == "series":
+        parser.error("--mode mathieu takes its eigenvalue from the matrix, not --method series")
 
 
 def _report_warnings(caught: list[warnings.WarningMessage]) -> int:
@@ -175,7 +179,7 @@ def _report_warnings(caught: list[warnings.WarningMessage]) -> int:
 def cmd_compute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     params, note = _params_from_args(parser, args)
     measures = _parse_measures(parser, args.measure)
-    _check_q(parser, measures, args.q)
+    _check_flags(parser, args, measures)
     spec, q = StateSpec(args.n, args.m), args.q
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -183,7 +187,7 @@ def cmd_compute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         route, values = evaluate(params, state, measures, q)
         lines = [
             f"state: n={spec.n_r} m={spec.m} delta={_fmt(params.delta)} "
-            f"D={_fmt(params.Dm)} mode={args.mode} method={args.method}",
+            f"D={_fmt(params.Dm)} mode={args.mode} method={state.method}",
             f"parameters: De={_fmt(params.De)} re={_fmt(params.re)} "
             f"mu={_fmt(params.mu)} ({note})",
             f"solution: b={_fmt(state.b)} E_theta={_fmt(state.e_theta)} "
@@ -219,10 +223,12 @@ def cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     measures = _parse_measures(parser, args.measure)
     if len(measures) != 1:
         parser.error("sweep takes exactly one --measure")
-    _check_q(parser, measures, args.q)
+    _check_flags(parser, args, measures)
     measure = measures[0]
     if args.var != "De" and args.De is None:
         parser.error("--De is required when it is not the swept variable")
+    if not args.deltas:
+        parser.error("--deltas must name at least one flux ratio")
     deltas = sorted(args.deltas)
     if args.var == "delta":
         deltas = [None]  # the swept value supplies the flux ratio
@@ -271,19 +277,14 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     header = ["n", "m"] + [f"{SYMBOLS[meas]}({name})" for meas in measures
                            for name in names]
 
-    body: list[list[str]] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for n, m in TABLE_ROWS:
-            values = {}
-            for name, params in params_map.items():
-                state = solve_state(params, StateSpec(n, m), method=args.method)
-                _, values[name] = evaluate(params, state, measures, args.q)
-            cells = [values[name][SYMBOLS[meas]] for meas in measures for name in names]
-            body.append([str(n), str(m)] + [
-                (_fmt(v) if args.format == "csv" else "%.6g" % v) for v in cells
-            ])
+        table = computed_table(params_map, measures, args.q, args.method)
     _report_warnings(caught)
+    cell = _fmt if args.format == "csv" else (lambda v: "%.6g" % v)
+    body = [[str(n), str(m)] + [cell(row[name][SYMBOLS[meas]])
+                                for meas in measures for name in names]
+            for (n, m), row in table.items()]
 
     units_note = (
         "raw-numbers interpretation (tabulated De/re used as atomic-unit values)"
@@ -460,19 +461,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(_apply_config(parser, argv))
         return commands[args.command](parser, args)
-    except SeriesSingularError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: retry with --method matrix", file=sys.stderr)
-        return 1
-    except (UnboundAngularError, TruncationError,
-            AccuracyError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except KeyError as exc:
         detail = exc.args[0] if exc.args else exc
         print(f"error: {detail}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (TruncationError, AccuracyError, OverflowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

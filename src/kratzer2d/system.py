@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .specfun import (
+    SeriesSingularError,
     log_abs_laguerre,
     mathieu_char_series,
     mathieu_even_solution,
@@ -106,7 +107,7 @@ class SolvedState:
     The radial normalisation constant N (1/bohr) is carried as
     ``log_norm_sq`` = ln N^2, which stays finite at parameter scales
     where N itself underflows.  ``energy`` excludes the constant well
-    offset; ``energy_total`` includes it.
+    offset; ``energy_total`` includes it.  ``method`` is the route of E_theta.
     """
 
     spec: StateSpec
@@ -118,6 +119,7 @@ class SolvedState:
     energy_total: float
     log_norm_sq: float
     mode: AngularMode
+    method: str
 
 
 def make_params(
@@ -142,25 +144,32 @@ def mathieu_coupling(params: SystemParams) -> float:
     return 4.0 * params.mu * params.Dm
 
 
-def angular_eigenvalue(params: SystemParams, m: int, method: str = "series") -> float:
-    """Angular separation constant E_theta = delta^2 - a_{2(m+delta)}(b) / 4.
-
-    ``method`` picks how the even Mathieu characteristic number is
-    computed: "series" (truncated power series) or "matrix"
-    (tridiagonal eigensolve).  With Dm = 0 both give
-    delta^2 - (m + delta)^2 exactly.
-    """
+def _angular_eigenvalue(params: SystemParams, m: int, method: str) -> tuple[float, str]:
+    """E_theta and the route that answered: "series" falls back to
+    "matrix" where the series refuses the order (SeriesSingularError)."""
     if m < 0:
         raise ValueError(f"angular order m must be >= 0, got {m}")
     b = mathieu_coupling(params)
     m_eff = m + params.delta
     if method == "series":
-        a = mathieu_char_series(m_eff, b)
-    elif method == "matrix":
-        a = mathieu_even_solution(m_eff, b).char_number
-    else:
+        try:
+            return params.delta**2 - mathieu_char_series(m_eff, b) / 4.0, "series"
+        except SeriesSingularError:
+            pass
+    elif method != "matrix":
         raise ValueError(f"unknown characteristic-number method {method!r}")
-    return params.delta**2 - a / 4.0
+    return params.delta**2 - mathieu_even_solution(m_eff, b).char_number / 4.0, "matrix"
+
+
+def angular_eigenvalue(params: SystemParams, m: int, method: str = "series") -> float:
+    """Angular separation constant E_theta = delta^2 - a_{2(m+delta)}(b) / 4.
+
+    ``method`` picks how the even Mathieu characteristic number is
+    computed: "series" (truncated power series; the tridiagonal
+    eigensolve where its denominators vanish) or "matrix" (tridiagonal
+    eigensolve).  With Dm = 0 both give delta^2 - (m + delta)^2 exactly.
+    """
+    return _angular_eigenvalue(params, m, method)[0]
 
 
 def _lambda_from_angular(params: SystemParams, e_theta: float) -> float:
@@ -190,10 +199,16 @@ def solve_state(
     params: SystemParams,
     spec: StateSpec,
     mode: AngularMode = AngularMode.PAPER_COSINE,
-    method: str = "series",
+    method: str | None = None,
 ) -> SolvedState:
-    """Assemble the full eigenvalue chain for one (n_r, m) state."""
-    e_theta = angular_eigenvalue(params, spec.m, method)
+    """Assemble the full eigenvalue chain for one (n_r, m) state; ``method``
+    defaults to "series" in cosine mode and to "matrix" in Mathieu mode,
+    whose profile is the matrix's and which refuses the series."""
+    cosine = mode is AngularMode.PAPER_COSINE
+    if not cosine and method == "series":
+        raise ValueError("Mathieu mode takes its eigenvalue from the matrix, not the series")
+    e_theta, method = _angular_eigenvalue(
+        params, spec.m, method or ("series" if cosine else "matrix"))
     lam = _lambda_from_angular(params, e_theta)
     beta = beta_param(params, spec, lam)
     e = -beta * beta / (2.0 * params.mu)
@@ -207,6 +222,7 @@ def solve_state(
         energy_total=e + params.C,
         log_norm_sq=_log_norm_sq(spec.n_r, lam, beta),
         mode=mode,
+        method=method,
     )
 
 

@@ -40,7 +40,6 @@ from .oracle import (
     wq_numeric,
 )
 from .specfun import (
-    SeriesSingularError,
     ValidityWarning,
     mathieu_char_series,
     mathieu_even_solution,
@@ -70,6 +69,7 @@ __all__ = [
     "check_shannon_asymptotic",
     "check_renyi_limit",
     "check_table_patterns",
+    "computed_table",
     "table_scan",
     "ordering_violations",
 ]
@@ -132,18 +132,6 @@ def evaluate(params: SystemParams, state: SolvedState, measures: Iterable[str],
     return ("closed form" if cosine else "quadrature"), values
 
 
-def _solve(params: SystemParams, spec: StateSpec) -> tuple[SolvedState, bool]:
-    """Solve in cosine mode with the characteristic-number series, matrix
-    fallback when the series denominators vanish.  Returns (state,
-    used_fallback)."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            return solve_state(params, spec, method="series"), False
-    except SeriesSingularError:
-        return solve_state(params, spec, method="matrix"), True
-
-
 def _base_grid() -> Iterable[tuple[SystemParams, StateSpec]]:
     for De in (1.0, 3.0):
         for delta in (0.0, 0.2, 0.5):
@@ -159,8 +147,8 @@ def check_normalization() -> CheckResult:
     the entropic moment W_1 by the oracle's panel rule."""
     worst, where, fallbacks = 0.0, "", 0
     for params, spec in _base_grid():
-        state, fell = _solve(params, spec)
-        fallbacks += fell
+        state = solve_state(params, spec)
+        fallbacks += state.method == "matrix"
         dev = abs(wq_numeric(params, state, 1.0).Wq - 1.0)
         if dev > worst:
             worst, where = dev, f"n={spec.n_r} m={spec.m} De={params.De} d={params.delta} D={params.Dm}"
@@ -174,7 +162,7 @@ def check_fisher() -> CheckResult:
     """Closed-form Fisher information against gradient-integral quadrature."""
     worst = {0.0: 0.0, 0.1: 0.0}
     for params, spec in _base_grid():
-        state, _ = _solve(params, spec)
+        state = solve_state(params, spec)
         closed = fisher_closed(params, state)
         numeric = fisher_numeric(params, state)
         dev = abs(closed.I - numeric.I) / abs(numeric.I)
@@ -195,7 +183,7 @@ def check_entropic_moments() -> CheckResult:
             params = make_params(De=De, re=1.0, delta=delta, mu=1.0)
             for m in (1, 2):
                 for n in range(5):
-                    state, _ = _solve(params, StateSpec(n, m))
+                    state = solve_state(params, StateSpec(n, m))
                     for q in (2, 3):
                         closed = wq_closed(params, state, q).Wq
                         numeric = wq_numeric(params, state, float(q)).Wq
@@ -203,7 +191,7 @@ def check_entropic_moments() -> CheckResult:
                         if dev > worst:
                             worst, where = dev, f"q={q} n={n} m={m} De={De} d={delta}"
     params = make_params(De=1.0, re=1.0, mu=1.0)
-    state, _ = _solve(params, StateSpec(2, 1))
+    state = solve_state(params, StateSpec(2, 1))
     mutant = 2.0 * wq_closed(params, state, 2).Wq
     ratio = mutant / wq_numeric(params, state, 2.0).Wq
     mutation_caught = abs(ratio - 2.0) <= 1e-6
@@ -265,7 +253,7 @@ def check_spectrum() -> CheckResult:
 
 
 def _measures_at(params: SystemParams, spec: StateSpec) -> tuple[float, float, float, float]:
-    state, _ = _solve(params, spec)
+    state = solve_state(params, spec)
     _, values = evaluate(params, state, ("fisher", "shannon", "tsallis", "renyi"), 2)
     return values["I"], values["S"], values["T"], values["R"]
 
@@ -319,7 +307,7 @@ def check_shannon_asymptotic() -> CheckResult:
     params = make_params(De=1.0, re=1.0, mu=1.0)
 
     def gap(n: int) -> float:
-        state, _ = _solve(params, StateSpec(n, 0))
+        state = solve_state(params, StateSpec(n, 0))
         return abs(shannon_closed(params, state).S - shannon_numeric(params, state))
 
     g5, g10, g20 = gap(5), gap(10), gap(20)
@@ -333,7 +321,7 @@ def check_shannon_asymptotic() -> CheckResult:
 def check_renyi_limit() -> CheckResult:
     """Order->1 limit of the Renyi entropy lands on the Shannon entropy."""
     params = make_params(De=1.0, re=1.0, mu=1.0)
-    state, _ = _solve(params, StateSpec(0, 0))
+    state = solve_state(params, StateSpec(0, 0))
     r_near_one = renyi(wq_numeric(params, state, 1.01))
     s = shannon_numeric(params, state)
     dev = abs(r_near_one - s)
@@ -397,22 +385,22 @@ TABLE_DIPOLE = 0.4
 TABLE_Q = 2
 
 
-def _computed_table(
-    params_by_molecule: Mapping[str, SystemParams]
+def computed_table(
+    params_by_molecule: Mapping[str, SystemParams], measures: Iterable[str], q: int,
+    method: str = "series",
 ) -> dict[tuple[int, int], dict[str, dict[str, float]]]:
-    """Measures for the reference-table states at order TABLE_Q, routed
-    by :func:`evaluate` (closed Fisher/Tsallis/Renyi, numerical Shannon:
-    the reference Shannon values follow the exact integral, not the
-    asymptotic closed form)."""
-    table: dict[tuple[int, int], dict[str, dict[str, float]]] = {}
-    for (n, m) in TABLE_ROWS:
-        table[(n, m)] = {}
-        for name, params in params_by_molecule.items():
-            state, _ = _solve(params, StateSpec(n, m))
-            _, values = evaluate(params, state, ("fisher", "shannon", "tsallis", "renyi"),
-                                 TABLE_Q)
-            table[(n, m)][name] = {symbol: values[symbol] for symbol in "ISTR"}
-    return table
+    """The values of :func:`evaluate` at every reference-table state, by
+    state and then molecule, in TABLE_ROWS order.  Shannon is the
+    quadrature: the reference Shannon values follow the exact integral,
+    not the asymptotic closed form."""
+    return {
+        (n, m): {
+            name: evaluate(params, solve_state(params, StateSpec(n, m), method=method),
+                           measures, q)[1]
+            for name, params in params_by_molecule.items()
+        }
+        for n, m in TABLE_ROWS
+    }
 
 
 # The two readings of the preset numbers, each as (label, preset -> params
@@ -438,10 +426,11 @@ def table_scan() -> list[TableScanEntry]:
     entries: list[TableScanEntry] = []
     for label, build in _TABLE_CONFIGURATIONS:
         try:
-            table = _computed_table({
-                name: build(presets[name], Dm=TABLE_DIPOLE, delta=TABLE_DELTA)
-                for name in TABLE_MOLECULES})
-        except (UnboundAngularError, SeriesSingularError):
+            table = computed_table(
+                {name: build(presets[name], Dm=TABLE_DIPOLE, delta=TABLE_DELTA)
+                 for name in TABLE_MOLECULES},
+                ("fisher", "shannon", "tsallis", "renyi"), TABLE_Q)
+        except UnboundAngularError:
             entries.append(TableScanEntry(label, None))
             continue
         dev = 0.0

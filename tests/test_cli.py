@@ -192,11 +192,15 @@ def test_table_writes_output_file(tmp_path, capsys):
         ["validate", "--checks", ","],
         ["compute", "--preset", "Cs2", "--mu-convention", "nist"],
         ["table", "--mu-convention", "nist"],
+        ["compute", "--De", "1", "--re", "1", "--mode", "mathieu", "--method", "series"],
+        ["sweep", "--var", "De", "--from", "1", "--to", "2", "--steps", "3",
+         "--De", "1", "--deltas", ",", "--measure", "fisher"],
     ],
     ids=["no-params", "preset-conflict", "tsallis-q1", "bad-measure",
          "one-step", "reversed-range", "two-measures", "missing-De",
          "negative-n", "negative-m", "units-without-preset", "no-checks",
-         "compute-mu-convention", "table-mu-convention"],
+         "compute-mu-convention", "table-mu-convention", "mathieu-series",
+         "empty-deltas"],
 )
 def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -300,21 +304,50 @@ def test_unknown_preset_exits_1(capsys):
     assert err == "error: unknown molecule preset 'Nope' (known: Cs2, Li2, SiSn)\n"
 
 
-def test_singular_series_order_suggests_matrix(capsys):
-    # m_eff = m + delta = 0.5 has vanishing series denominators.
-    code = main(["compute", "--De", "1", "--re", "1", "--D", "0.1",
-                 "--delta", "0.5", "--measure", "energy"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "series denominators vanish near m_eff = 0.5" in err
-    assert "hint: retry with --method matrix" in err
+def test_singular_series_order_falls_back_to_matrix(capsys):
+    # m_eff = m + delta = 0.5 has vanishing series denominators: the
+    # default route answers there as --method matrix does, and says so.
+    argv = ["compute", "--De", "1", "--re", "1", "--D", "0.1",
+            "--delta", "0.5", "--measure", "energy"]
+    outputs = []
+    for extra in ([], ["--method", "series"], ["--method", "matrix"]):
+        assert main(argv + extra) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].err == ""
+    assert "mode=cosine method=matrix" in outputs[0].out
+    assert "energy: E=-0.484730592 " in outputs[0].out
 
 
-def test_singular_order_matrix_method_succeeds(capsys):
-    code = main(["compute", "--De", "1", "--re", "1", "--D", "0.1",
-                 "--delta", "0.5", "--measure", "energy", "--method", "matrix"])
-    assert code == 0
-    assert "energy: E=" in capsys.readouterr().out
+@pytest.mark.parametrize("argv", [
+    ["table", "--tables", "1", "--delta", "0"],
+    ["sweep", "--var", "delta", "--from", "0", "--to", "1", "--steps", "3",
+     "--De", "1", "--D", "0.1", "--measure", "energy"],
+], ids=["table-delta-0", "sweep-over-flux"])
+def test_singular_series_orders_answer_in_table_and_sweep(argv, capsys):
+    # m + delta = 1 in the table's m = 1 rows, 0.5 at the sweep's middle point.
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "sweep":
+        assert out.splitlines()[2] == "delta,0.5,-0.484730592,0.5,0,0"
+    else:
+        assert len(out.splitlines()) == 23
+
+
+def test_mathieu_mode_defaults_to_the_matrix(capsys):
+    argv = ["compute", "--De", "3", "--re", "1", "--D", "0.3", "--delta", "0.2",
+            "--n", "2", "--m", "1", "--mode", "mathieu", "--measure", "fisher,wq"]
+    assert main(argv) == 0
+    default = capsys.readouterr()
+    assert main(argv + ["--method", "matrix"]) == 0
+    assert capsys.readouterr() == default
+    assert "mode=mathieu method=matrix" in default.out
+
+
+def test_repeated_measure_prints_once(capsys):
+    assert main(["compute", "--De", "1", "--re", "1", "--measure", "fisher,energy,fisher"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[3:]] == ["fisher", "energy"]
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

@@ -171,6 +171,28 @@ def test_series_and_matrix_methods_agree_without_dipole(std_params):
     assert a.lam == pytest.approx(b.lam, rel=1e-12)
 
 
+def test_solve_state_method_follows_the_mode(dipole_params):
+    cosine, mathieu = AngularMode.PAPER_COSINE, AngularMode.MATHIEU_NUMERIC
+    spec = StateSpec(1, 2)
+    assert solve_state(dipole_params, spec).method == "series"
+    assert solve_state(dipole_params, spec, mode=cosine, method="matrix").method == "matrix"
+    state = solve_state(dipole_params, spec, mode=mathieu)
+    assert state.method == "matrix"
+    assert state.e_theta == angular_eigenvalue(dipole_params, 2, "matrix")
+    with pytest.raises(ValueError, match="Mathieu mode"):
+        solve_state(dipole_params, spec, mode=mathieu, method="series")
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.0, 1.5])
+def test_series_falls_back_to_the_matrix_where_it_is_singular(delta):
+    # m + delta in {0.5, 1, 1.5}: the series refuses the order, the matrix answers.
+    p = make_params(De=1.0, re=1.0, Dm=0.1, delta=delta)
+    state = solve_state(p, StateSpec(0, 0))
+    assert state.method == "matrix"
+    assert state == solve_state(p, StateSpec(0, 0), method="matrix")
+    assert angular_eigenvalue(p, 0) == angular_eigenvalue(p, 0, "matrix") == state.e_theta
+
+
 def test_unbound_angular_error():
     # A strong dipole against a shallow well: the m = 0 characteristic
     # number goes negative enough that the radial radicand flips sign.

@@ -18,6 +18,7 @@ from kratzer2d.validation import (
     CheckResult,
     check_entropic_moments,
     check_mathieu,
+    check_normalization,
     check_renyi_limit,
     check_table_patterns,
     ordering_violations,
@@ -102,6 +103,11 @@ def test_mathieu_check_reports_series_breakdown():
     result = check_mathieu()
     assert not result.passed
     assert result.worst == pytest.approx(13.85, rel=1e-2)
+
+
+def test_normalization_counts_the_matrix_fallbacks():
+    # m + delta = 0.5, 1 and 1.5 with the dipole on: 3 orders x 2 depths x 9 n.
+    assert check_normalization().detail.endswith("; 54 matrix fallbacks")
 
 
 def test_table_scan_scores_the_two_readings():
