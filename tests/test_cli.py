@@ -304,19 +304,31 @@ def test_unknown_preset_exits_1(capsys):
     assert err == "error: unknown molecule preset 'Nope' (known: Cs2, Li2, SiSn)\n"
 
 
-def test_singular_series_order_falls_back_to_matrix(capsys):
-    # m_eff = m + delta = 0.5 has vanishing series denominators: the
-    # default route answers there as --method matrix does, and says so.
-    argv = ["compute", "--De", "1", "--re", "1", "--D", "0.1",
-            "--delta", "0.5", "--measure", "energy"]
+SINGULAR_ORDER_ARGV = ["compute", "--De", "1", "--re", "1", "--D", "0.1",
+                       "--delta", "0.5", "--measure", "energy"]
+
+
+def test_singular_series_order_suggests_matrix(capsys):
+    # m_eff = m + delta = 0.5 has vanishing series denominators: the default
+    # and --method series requests answer by the matrix, and the state line says so.
     outputs = []
-    for extra in ([], ["--method", "series"], ["--method", "matrix"]):
-        assert main(argv + extra) == 0
+    for extra in ([], ["--method", "series"]):
+        assert main(SINGULAR_ORDER_ARGV + extra) == 0
         outputs.append(capsys.readouterr())
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
     assert outputs[0].err == ""
     assert "mode=cosine method=matrix" in outputs[0].out
     assert "energy: E=-0.484730592 " in outputs[0].out
+
+
+def test_singular_order_matrix_method_succeeds(capsys):
+    assert main(SINGULAR_ORDER_ARGV) == 0
+    default = capsys.readouterr()
+    code = main(SINGULAR_ORDER_ARGV + ["--method", "matrix"])
+    assert code == 0
+    matrix = capsys.readouterr()
+    assert "energy: E=" in matrix.out
+    assert matrix == default
 
 
 @pytest.mark.parametrize("argv", [
