@@ -60,9 +60,14 @@ def _fmt(x: float) -> str:
     return "%.10g" % x
 
 
+def _comma_list(text: str, kind=str) -> list:
+    """The comma list's non-blank entries as ``kind``, each once, in first-seen order."""
+    return list(dict.fromkeys(kind(part.strip()) for part in text.split(",") if part.strip()))
+
+
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return _comma_list(text, float)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
@@ -147,7 +152,7 @@ def _params_from_args(parser: argparse.ArgumentParser,
 
 def _parse_measures(parser: argparse.ArgumentParser, text: str) -> list[str]:
     """The named measures, each once, in first-seen order."""
-    names = list(dict.fromkeys(part.strip() for part in text.split(",") if part.strip()))
+    names = _comma_list(text)
     bad = [name for name in names if name not in MEASURES]
     if bad:
         parser.error(f"unknown measure(s) {bad}; choose from {', '.join(MEASURES)}")
@@ -184,7 +189,7 @@ def cmd_compute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         state = solve_state(params, spec, mode=AngularMode(args.mode), method=args.method)
-        route, values = evaluate(params, state, measures, q)
+        route, values = evaluate(state, measures, q)
         lines = [
             f"state: n={spec.n_r} m={spec.m} delta={_fmt(params.delta)} "
             f"D={_fmt(params.Dm)} mode={args.mode} method={state.method}",
@@ -195,7 +200,7 @@ def cmd_compute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         ]
         closed_shannon = "shannon" in measures and state.mode is AngularMode.PAPER_COSINE
         if closed_shannon:
-            s = shannon_closed(params, state)
+            s = shannon_closed(state)
             values.update(S_closed=s.S, S1=s.S1, S2=s.S2, S3=s.S3, S4=s.S4)
         fields = {key: _fmt(x) for key, x in values.items()}
         for name in measures:
@@ -249,7 +254,7 @@ def cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
                                      mu=1.0 if args.mu is None else args.mu)
                 state = solve_state(params, StateSpec(args.n, args.m),
                                     mode=mode, method=args.method)
-                _, values = evaluate(params, state, measures, args.q)
+                _, values = evaluate(state, measures, args.q)
                 rows.append((value, values[SYMBOLS[measure]], dl))
     _report_warnings(caught)
 
@@ -262,7 +267,7 @@ def cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    names = [part.strip() for part in args.presets.split(",") if part.strip()]
+    names = _comma_list(args.presets)
     if not names:
         parser.error("--presets must name at least one molecule")
     presets = {name: molecules.get_preset(name, args.preset_file) for name in names}
@@ -326,7 +331,7 @@ def _report_check(result: CheckResult) -> None:
 def cmd_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     names = None
     if args.checks is not None:
-        names = [part.strip() for part in args.checks.split(",") if part.strip()]
+        names = _comma_list(args.checks)
         if not names:
             parser.error("--checks must name at least one check")
     with warnings.catch_warnings():
@@ -370,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--q", type=int, default=2,
                          help="Tsallis/Renyi order (recorded in the footer)")
     p_table.add_argument("--units", choices=UNIT_CHOICES, default="raw")
-    p_table.add_argument("--method", choices=("series", "matrix"), default="series")
+    p_table.add_argument("--method", choices=("series", "matrix"), default=None)
     p_table.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     p_table.add_argument("--output", help="output path (default stdout)")
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .specfun import digamma, log_gamma0
-from .system import SolvedState, SystemParams
+from .system import SolvedState
 
 __all__ = [
     "FisherResult",
@@ -78,7 +78,7 @@ class EntropicMoment:
             return math.inf
 
 
-def fisher_closed(params: SystemParams, solved: SolvedState) -> FisherResult:
+def fisher_closed(solved: SolvedState) -> FisherResult:
     """Fisher information of the position density.
 
     The radial part is 2 beta^2 (2n + 1) / (n + lam), equivalently
@@ -101,7 +101,7 @@ def fisher_closed(params: SystemParams, solved: SolvedState) -> FisherResult:
     return FisherResult(i1 + i2, i1, i2)
 
 
-def shannon_closed(params: SystemParams, solved: SolvedState) -> ShannonResult:
+def shannon_closed(solved: SolvedState) -> ShannonResult:
     """Four-term Shannon entropy decomposition (S4 asymptotic, O(n) dropped)."""
     n, lam, beta = solved.spec.n_r, solved.lam, solved.beta
     s1 = 2.0 * math.log(2.0) - 1.0
@@ -141,7 +141,7 @@ def _log_wq(solved: SolvedState, q: int) -> float:
     )
 
 
-def wq_closed(params: SystemParams, solved: SolvedState, q: int) -> EntropicMoment:
+def wq_closed(solved: SolvedState, q: int) -> EntropicMoment:
     """Entropic moment W_q for integer q >= 1 (q = 1 is the diagnostic W_1 = 1).
 
     The angular factor is the cosine-power constant

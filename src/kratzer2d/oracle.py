@@ -300,7 +300,7 @@ def _panel_integrals(
     return sums[..., :_LOW_ORDER].sum(axis=-1), sums[..., _LOW_ORDER:].sum(axis=-1)
 
 
-def fisher_numeric(params: SystemParams, solved: SolvedState) -> FisherResult:
+def fisher_numeric(solved: SolvedState) -> FisherResult:
     """Fisher information by quadrature of the density-gradient integrals.
 
     Radial integrands use the analytic derivative of the Laguerre
@@ -310,7 +310,7 @@ def fisher_numeric(params: SystemParams, solved: SolvedState) -> FisherResult:
     integrals of Phi^2 and Phi'^2, in either angular mode.
     """
     n, lam = solved.spec.n_r, solved.lam
-    ang = angular_integrals_numeric(params, solved.spec.m, solved.mode)
+    ang = angular_integrals_numeric(solved.params, solved.spec.m, solved.mode)
     twol = 2.0 * lam
 
     def parts(K: int) -> tuple[float, float]:
@@ -359,9 +359,7 @@ def _shannon_cut(solved: SolvedState) -> tuple[np.ndarray, float, float, float]:
     return zeros, upper, tail, tail * (abs(log_rho_u) + (1.0 + 1.0 / upper) / rate)
 
 
-def shannon_numeric(
-    params: SystemParams, solved: SolvedState, target: float = 1e-9
-) -> float:
+def shannon_numeric(solved: SolvedState, target: float = 1e-9) -> float:
     """Shannon entropy -integral rho ln rho by the radial panel rule.
 
     The radial integrand has integrable log cusps at the Laguerre zeros;
@@ -376,7 +374,7 @@ def shannon_numeric(
     """
     n, lam, beta = solved.spec.n_r, solved.lam, solved.beta
     twol = 2.0 * lam
-    ang = angular_integrals_numeric(params, solved.spec.m, solved.mode)
+    ang = angular_integrals_numeric(solved.params, solved.spec.m, solved.mode)
 
     def integrands(x: np.ndarray) -> np.ndarray:
         # rows: w ln rho and the unit-mass radial weight
@@ -399,7 +397,7 @@ def shannon_numeric(
     return -ang.i2norm * float(r_log) - ang.ilog * float(norm_int)
 
 
-def wq_numeric(params: SystemParams, solved: SolvedState, q: float) -> EntropicMoment:
+def wq_numeric(solved: SolvedState, q: float) -> EntropicMoment:
     """Entropic moment W_q by quadrature of rho^q, for real q > 0.
 
     After u = q x the radial integrand is u^(q (2 lam - 1) + 1) e^-u
@@ -418,7 +416,7 @@ def wq_numeric(params: SystemParams, solved: SolvedState, q: float) -> EntropicM
         raise ValueError(f"wq_numeric requires q > 0, got {q}")
     n, lam, beta = solved.spec.n_r, solved.lam, solved.beta
     twol = 2.0 * lam
-    ang = angular_integrals_numeric(params, solved.spec.m, solved.mode, q=q)
+    ang = angular_integrals_numeric(solved.params, solved.spec.m, solved.mode, q=q)
     alpha = q * (twol - 1.0) + 1.0
     log_front = (
         math.log(ang.ipow)

@@ -102,7 +102,7 @@ class AngularMode(enum.Enum):
 
 @dataclass(frozen=True)
 class SolvedState:
-    """One solved bound state: eigenvalue chain plus normalisation.
+    """One solved bound state of ``params``: eigenvalue chain plus normalisation.
 
     The radial normalisation constant N (1/bohr) is carried as
     ``log_norm_sq`` = ln N^2, which stays finite at parameter scales
@@ -120,6 +120,7 @@ class SolvedState:
     log_norm_sq: float
     mode: AngularMode
     method: str
+    params: SystemParams
 
 
 def make_params(
@@ -223,6 +224,7 @@ def solve_state(
         log_norm_sq=_log_norm_sq(spec.n_r, lam, beta),
         mode=mode,
         method=method,
+        params=params,
     )
 
 
@@ -390,13 +392,13 @@ def log_radial_density(solved: SolvedState, x):
     return out
 
 
-def density(params: SystemParams, solved: SolvedState, r, theta):
+def density(solved: SolvedState, r, theta):
     """Probability density rho(r, theta) of the solved state (1/bohr^2)."""
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0 and np.ndim(theta) == 0
     x = 2.0 * solved.beta * np.atleast_1d(r)
     log_rad = log_radial_density(solved, x)
-    phi = angular_function(params, solved.spec.m, solved.mode, np.atleast_1d(theta))
+    phi = angular_function(solved.params, solved.spec.m, solved.mode, np.atleast_1d(theta))
     rad = np.exp(np.where(np.isfinite(log_rad), log_rad, -np.inf))
     out = rad * phi**2
     return float(out[0]) if scalar else out

@@ -98,7 +98,7 @@ class CheckResult:
         return f"{text} — {self.detail}" if self.detail else text
 
 
-def evaluate(params: SystemParams, state: SolvedState, measures: Iterable[str],
+def evaluate(state: SolvedState, measures: Iterable[str],
              q: int = 2) -> tuple[str, dict[str, float]]:
     """The measures of one solved state, each by its one route.
 
@@ -115,15 +115,15 @@ def evaluate(params: SystemParams, state: SolvedState, measures: Iterable[str],
     moment = None
     for name in measures:
         if name == "fisher":
-            f = fisher_closed(params, state) if cosine else fisher_numeric(params, state)
+            f = fisher_closed(state) if cosine else fisher_numeric(state)
             values.update(I=f.I, I1=f.I1, I2=f.I2)
         elif name == "shannon":
-            values["S"] = shannon_numeric(params, state)
+            values["S"] = shannon_numeric(state)
         elif name == "energy":
             values.update(E=state.energy, E_total=state.energy_total)
         else:
             if moment is None:
-                moment = (wq_closed if cosine else wq_numeric)(params, state, q)
+                moment = (wq_closed if cosine else wq_numeric)(state, q)
                 values["W"] = moment.Wq
             if name == "tsallis":
                 values["T"] = tsallis(moment)
@@ -132,25 +132,25 @@ def evaluate(params: SystemParams, state: SolvedState, measures: Iterable[str],
     return ("closed form" if cosine else "quadrature"), values
 
 
-def _base_grid() -> Iterable[tuple[SystemParams, StateSpec]]:
+def _base_grid() -> Iterable[SolvedState]:
     for De in (1.0, 3.0):
         for delta in (0.0, 0.2, 0.5):
             for Dm in (0.0, 0.1):
                 params = make_params(De=De, re=1.0, Dm=Dm, delta=delta, mu=1.0)
                 for m in (0, 1, 2):
                     for n in range(9):
-                        yield params, StateSpec(n, m)
+                        yield solve_state(params, StateSpec(n, m))
 
 
 def check_normalization() -> CheckResult:
     """Density integrates to 1 over the plane on the full parameter grid:
     the entropic moment W_1 by the oracle's panel rule."""
     worst, where, fallbacks = 0.0, "", 0
-    for params, spec in _base_grid():
-        state = solve_state(params, spec)
+    for state in _base_grid():
         fallbacks += state.method == "matrix"
-        dev = abs(wq_numeric(params, state, 1.0).Wq - 1.0)
+        dev = abs(wq_numeric(state, 1.0).Wq - 1.0)
         if dev > worst:
+            spec, params = state.spec, state.params
             worst, where = dev, f"n={spec.n_r} m={spec.m} De={params.De} d={params.delta} D={params.Dm}"
     return CheckResult(
         "normalization", worst <= 1e-8, worst, 1e-8,
@@ -161,12 +161,11 @@ def check_normalization() -> CheckResult:
 def check_fisher() -> CheckResult:
     """Closed-form Fisher information against gradient-integral quadrature."""
     worst = {0.0: 0.0, 0.1: 0.0}
-    for params, spec in _base_grid():
-        state = solve_state(params, spec)
-        closed = fisher_closed(params, state)
-        numeric = fisher_numeric(params, state)
+    for state in _base_grid():
+        closed = fisher_closed(state)
+        numeric = fisher_numeric(state)
         dev = abs(closed.I - numeric.I) / abs(numeric.I)
-        worst[params.Dm] = max(worst[params.Dm], dev)
+        worst[state.params.Dm] = max(worst[state.params.Dm], dev)
     passed = worst[0.0] <= 1e-8 and worst[0.1] <= 1e-6
     return CheckResult(
         "fisher-closed-vs-quadrature", passed, max(worst.values()), 1e-6,
@@ -185,15 +184,14 @@ def check_entropic_moments() -> CheckResult:
                 for n in range(5):
                     state = solve_state(params, StateSpec(n, m))
                     for q in (2, 3):
-                        closed = wq_closed(params, state, q).Wq
-                        numeric = wq_numeric(params, state, float(q)).Wq
+                        closed = wq_closed(state, q).Wq
+                        numeric = wq_numeric(state, float(q)).Wq
                         dev = abs(closed - numeric) / numeric
                         if dev > worst:
                             worst, where = dev, f"q={q} n={n} m={m} De={De} d={delta}"
-    params = make_params(De=1.0, re=1.0, mu=1.0)
-    state = solve_state(params, StateSpec(2, 1))
-    mutant = 2.0 * wq_closed(params, state, 2).Wq
-    ratio = mutant / wq_numeric(params, state, 2.0).Wq
+    state = solve_state(make_params(De=1.0, re=1.0, mu=1.0), StateSpec(2, 1))
+    mutant = 2.0 * wq_closed(state, 2).Wq
+    ratio = mutant / wq_numeric(state, 2.0).Wq
     mutation_caught = abs(ratio - 2.0) <= 1e-6
     passed = worst <= 1e-6 and mutation_caught
     return CheckResult(
@@ -253,8 +251,7 @@ def check_spectrum() -> CheckResult:
 
 
 def _measures_at(params: SystemParams, spec: StateSpec) -> tuple[float, float, float, float]:
-    state = solve_state(params, spec)
-    _, values = evaluate(params, state, ("fisher", "shannon", "tsallis", "renyi"), 2)
+    _, values = evaluate(solve_state(params, spec), ("fisher", "shannon", "tsallis", "renyi"), 2)
     return values["I"], values["S"], values["T"], values["R"]
 
 
@@ -308,7 +305,7 @@ def check_shannon_asymptotic() -> CheckResult:
 
     def gap(n: int) -> float:
         state = solve_state(params, StateSpec(n, 0))
-        return abs(shannon_closed(params, state).S - shannon_numeric(params, state))
+        return abs(shannon_closed(state).S - shannon_numeric(state))
 
     g5, g10, g20 = gap(5), gap(10), gap(20)
     return CheckResult(
@@ -320,10 +317,9 @@ def check_shannon_asymptotic() -> CheckResult:
 
 def check_renyi_limit() -> CheckResult:
     """Order->1 limit of the Renyi entropy lands on the Shannon entropy."""
-    params = make_params(De=1.0, re=1.0, mu=1.0)
-    state = solve_state(params, StateSpec(0, 0))
-    r_near_one = renyi(wq_numeric(params, state, 1.01))
-    s = shannon_numeric(params, state)
+    state = solve_state(make_params(De=1.0, re=1.0, mu=1.0), StateSpec(0, 0))
+    r_near_one = renyi(wq_numeric(state, 1.01))
+    s = shannon_numeric(state)
     dev = abs(r_near_one - s)
     return CheckResult(
         "renyi-limit", dev <= 0.02, dev, 0.02,
@@ -387,7 +383,7 @@ TABLE_Q = 2
 
 def computed_table(
     params_by_molecule: Mapping[str, SystemParams], measures: Iterable[str], q: int,
-    method: str = "series",
+    method: str | None = None,
 ) -> dict[tuple[int, int], dict[str, dict[str, float]]]:
     """The values of :func:`evaluate` at every reference-table state, by
     state and then molecule, in TABLE_ROWS order.  Shannon is the
@@ -395,8 +391,7 @@ def computed_table(
     not the asymptotic closed form."""
     return {
         (n, m): {
-            name: evaluate(params, solve_state(params, StateSpec(n, m), method=method),
-                           measures, q)[1]
+            name: evaluate(solve_state(params, StateSpec(n, m), method=method), measures, q)[1]
             for name, params in params_by_molecule.items()
         }
         for n, m in TABLE_ROWS

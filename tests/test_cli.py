@@ -497,6 +497,24 @@ def test_validate_unknown_check_exits_1(capsys):
     assert "unknown checks" in capsys.readouterr().err
 
 
+SWEEP_DE_ARGV = ["sweep", "--var", "De", "--from", "1", "--to", "2", "--steps", "2",
+                 "--De", "1", "--measure", "fisher"]
+
+
+@pytest.mark.parametrize("repeated, once", [
+    (["validate", "--checks", "renyi-limit,renyi-limit"],
+     ["validate", "--checks", "renyi-limit"]),
+    (["table", "--tables", "1", "--presets", "Cs2,Cs2"],
+     ["table", "--tables", "1", "--presets", "Cs2"]),
+    (SWEEP_DE_ARGV + ["--deltas", "0.2,0.2"], SWEEP_DE_ARGV + ["--deltas", "0.2"]),
+], ids=["checks", "presets", "deltas"])
+def test_a_repeated_list_entry_counts_once(capsys, repeated, once):
+    assert main(repeated) == 0
+    out = capsys.readouterr().out
+    assert main(once) == 0
+    assert out == capsys.readouterr().out
+
+
 def test_sweep_output_is_byte_stable():
     argv = [sys.executable, "-m", "kratzer2d.cli", "sweep", "--var", "D",
             "--from", "0", "--to", "1", "--steps", "4", "--De", "3",

@@ -198,7 +198,7 @@ def test_angular_integrals_are_taken_once_per_profile_and_order(dipole_params, g
     system.angular_profile.cache_clear()
     state = solve_state(dipole_params, StateSpec(2, 2), mode=AngularMode.MATHIEU_NUMERIC)
     for measure in ("fisher", "wq", "tsallis", "renyi"):
-        evaluate(dipole_params, state, [measure], 3)
+        evaluate(state, [measure], 3)
     assert len(returned) == 4
     assert grids == [system.ANGULAR_GRID] * 2
     for args, kwargs, ints in returned:
@@ -218,7 +218,7 @@ def test_mathieu_profile_samples_one_grid_per_order(dipole_params, grids, q, exp
     assert grids == []
     state = solve_state(dipole_params, StateSpec(2, 2), mode=mathieu)
     for measure in ("fisher", "wq", "tsallis", "renyi"):
-        evaluate(dipole_params, state, [measure], q)
+        evaluate(state, [measure], q)
     assert grids == [system.ANGULAR_GRID] * expected
 
 
@@ -230,15 +230,15 @@ def test_cosine_profile_is_shared_by_parameter_sets_of_equal_m(std_params, dipol
     measures = ["fisher", "shannon", "tsallis"]  # Shannon is the quadrature
     state = solve_state(dipole_params, StateSpec(2, 2), mode=cosine)
     system.angular_profile.cache_clear()
-    alone = evaluate(dipole_params, state, measures, 3)
+    alone = evaluate(state, measures, 3)
     system.angular_profile.cache_clear()
     profile = system.angular_profile(*system.profile_key(std_params, 2, cosine))
     assert system.angular_profile(*system.profile_key(dipole_params, 2, cosine)) is profile
     assert system.angular_profile(*system.profile_key(dipole_params, 1, cosine)) is not profile
-    evaluate(std_params, solve_state(std_params, StateSpec(0, 2), mode=cosine), measures, 3)
+    evaluate(solve_state(std_params, StateSpec(0, 2), mode=cosine), measures, 3)
     sums = dict(profile.integrals)
     assert sums
-    assert evaluate(dipole_params, state, measures, 3) == alone
+    assert evaluate(state, measures, 3) == alone
     assert profile.integrals == sums
 
 
@@ -253,22 +253,22 @@ def test_modes_keep_apart_sums_where_their_profiles_agree(first):
     alone = {}
     for mode in AngularMode:
         system.angular_profile.cache_clear()
-        alone[mode] = evaluate(params, states[mode], ["shannon"])
+        alone[mode] = evaluate(states[mode], ["shannon"])
     assert alone[AngularMode.PAPER_COSINE][1] != alone[AngularMode.MATHIEU_NUMERIC][1]
     system.angular_profile.cache_clear()
     second = next(mode for mode in AngularMode if mode is not first)
     for mode in (first, second):
-        assert evaluate(params, states[mode], ["shannon"]) == alone[mode]
+        assert evaluate(states[mode], ["shannon"]) == alone[mode]
 
 
 def test_cache_clear_drops_cosine_profiles(std_params, grids):
     state = solve_state(std_params, StateSpec(1, 2), mode=AngularMode.PAPER_COSINE)
     system.angular_profile.cache_clear()
-    evaluate(std_params, state, ["shannon"])
-    evaluate(std_params, state, ["shannon"])
+    evaluate(state, ["shannon"])
+    evaluate(state, ["shannon"])
     assert grids == [system.ANGULAR_GRID]
     system.angular_profile.cache_clear()
-    evaluate(std_params, state, ["shannon"])
+    evaluate(state, ["shannon"])
     assert grids == [system.ANGULAR_GRID] * 2
 
 
@@ -287,9 +287,9 @@ def test_mathieu_sweep_over_de_samples_one_grid(grids, capsys):
 # ------------------------------------------------------------------- Fisher
 
 
-def test_fisher_numeric_standard(std_params, std_state):
+def test_fisher_numeric_standard(std_state):
     # Ground state: the gradient integral reduces to 2 beta^2 / lambda.
-    result = fisher_numeric(std_params, std_state)
+    result = fisher_numeric(std_state)
     expected = 2.0 * std_state.beta**2 / std_state.lam
     assert result.I == pytest.approx(expected, rel=1e-11)
     assert result.I == pytest.approx(1.1405617954, rel=1e-9)
@@ -334,17 +334,17 @@ def test_fisher_numeric_cosine_matches_mpmath_definition():
         ang_sq = mpmath.quad(lambda t: mpmath.cos(m * t) ** 2, turn)
         ang_deriv = mpmath.quad(lambda t: (m * mpmath.sin(m * t)) ** 2, turn)
         ref = ang_sq * radial_grad + 4 * ang_deriv * radial_cent
-    assert fisher_numeric(p, state).I == pytest.approx(float(ref), rel=1e-11, abs=0.0)
+    assert fisher_numeric(state).I == pytest.approx(float(ref), rel=1e-11, abs=0.0)
 
 
 # ------------------------------------------------------------------ Shannon
 
 
-def test_shannon_numeric_frozen(std_params, std_state, dipole_params, dipole_state):
-    assert shannon_numeric(std_params, std_state) == pytest.approx(
+def test_shannon_numeric_frozen(std_state, dipole_state):
+    assert shannon_numeric(std_state) == pytest.approx(
         3.9648170068, rel=1e-8
     )
-    assert shannon_numeric(dipole_params, dipole_state) == pytest.approx(
+    assert shannon_numeric(dipole_state) == pytest.approx(
         5.6445713815, rel=1e-8
     )
 
@@ -354,7 +354,7 @@ def test_shannon_numeric_high_n_matches_mpmath():
     # mpmath quadrature between the Laguerre zeros.
     p = make_params(De=1.0, re=1.0)
     state = solve_state(p, StateSpec(20, 0))
-    assert shannon_numeric(p, state) == pytest.approx(13.3772744262853, rel=0, abs=1e-11)
+    assert shannon_numeric(state) == pytest.approx(13.3772744262853, rel=0, abs=1e-11)
 
 
 @pytest.mark.parametrize("m,expected", [(4, 5.728826803057601), (8, 7.339887973209026)])
@@ -364,36 +364,35 @@ def test_shannon_numeric_cosine_log_cusps_match_mpmath(m, expected):
     # 1.8e-8 (m = 8) off.  References: 30-digit mpmath.
     p = make_params(De=3.0, re=1.0)
     state = solve_state(p, StateSpec(1, m))
-    assert shannon_numeric(p, state) == pytest.approx(expected, rel=0, abs=1e-9)
+    assert shannon_numeric(state) == pytest.approx(expected, rel=0, abs=1e-9)
 
 
 def test_shannon_numeric_increases_with_n(std_params):
     values = [
-        shannon_numeric(std_params, solve_state(std_params, StateSpec(n, 0)))
+        shannon_numeric(solve_state(std_params, StateSpec(n, 0)))
         for n in (0, 2, 4)
     ]
     assert values[0] < values[1] < values[2]
 
 
-def test_shannon_numeric_accuracy_error(std_params, std_state):
+def test_shannon_numeric_accuracy_error(std_state):
     with pytest.raises(AccuracyError):
-        shannon_numeric(std_params, std_state, target=1e-18)
+        shannon_numeric(std_state, target=1e-18)
 
 
 # ----------------------------------------------------------------- moments
 
 
-def test_wq_numeric_normalization_diagnostic(std_params, std_state, dipole_params,
-                                             dipole_state):
+def test_wq_numeric_normalization_diagnostic(std_state, dipole_params, dipole_state):
     # The normalisation is the entropic moment W_1, in either angular mode.
-    assert wq_numeric(std_params, std_state, 1.0).Wq == pytest.approx(1.0, abs=1e-10)
-    assert wq_numeric(dipole_params, dipole_state, 1.0).Wq == pytest.approx(1.0, abs=1e-10)
+    assert wq_numeric(std_state, 1.0).Wq == pytest.approx(1.0, abs=1e-10)
+    assert wq_numeric(dipole_state, 1.0).Wq == pytest.approx(1.0, abs=1e-10)
     state = solve_state(dipole_params, StateSpec(2, 2), mode=AngularMode.MATHIEU_NUMERIC)
-    assert wq_numeric(dipole_params, state, 1.0).Wq == pytest.approx(1.0, abs=1e-8)
+    assert wq_numeric(state, 1.0).Wq == pytest.approx(1.0, abs=1e-8)
 
 
-def test_wq_numeric_frozen_w2(std_params, std_state):
-    assert wq_numeric(std_params, std_state, 2.0).Wq == pytest.approx(
+def test_wq_numeric_frozen_w2(std_state):
+    assert wq_numeric(std_state, 2.0).Wq == pytest.approx(
         2.533281358118e-02, rel=1e-10
     )
 
@@ -410,23 +409,23 @@ def test_wq_numeric_euler_integral_nodeless():
         * math.exp(math.lgamma(4.0 * lam) - 2.0 * math.lgamma(2.0 * lam))
         / (4.0 * math.pi * lam * lam * 2.0 ** (4.0 * lam))
     )
-    assert wq_numeric(p, state, 2.0).Wq == pytest.approx(expected, rel=1e-10)
+    assert wq_numeric(state, 2.0).Wq == pytest.approx(expected, rel=1e-10)
 
 
-def test_wq_numeric_real_q_path_is_continuous(std_params, std_state):
+def test_wq_numeric_real_q_path_is_continuous(std_state):
     # Both orders run the panel rule; q = 2 is held to the integer-q
     # bound (1e-10) and q = 2 + 1e-6 to the real-q bound (1e-8), so this
     # checks continuity across that switch.  The drift S * dq ~ 4e-6
     # bounds their difference.
-    w_int = wq_numeric(std_params, std_state, 2.0).Wq
-    w_real = wq_numeric(std_params, std_state, 2.000001).Wq
+    w_int = wq_numeric(std_state, 2.0).Wq
+    w_real = wq_numeric(std_state, 2.000001).Wq
     assert abs(w_real - w_int) / w_int < 1e-5
 
 
 def test_renyi_orders_nonincreasing_numeric(std_params):
     state = solve_state(std_params, StateSpec(2, 1))
     renyi = [
-        wq_numeric(std_params, state, float(q)).log_Wq / (1.0 - q) for q in (2, 3, 4)
+        wq_numeric(state, float(q)).log_Wq / (1.0 - q) for q in (2, 3, 4)
     ]
     assert renyi[0] >= renyi[1] >= renyi[2]
 
@@ -453,7 +452,7 @@ def test_wq_numeric_matches_mpmath_moment_sum(De, n, m, q, mp_laguerre_power_mom
                    / (mpmath.gamma(n + 2 * lam) * (n + lam) * mpmath.pi))
         angular = 2 * mpmath.pi * mpmath.binomial(2 * q, q) / mpmath.mpf(4) ** q
         ref = norm_sq**q * angular * radial / (4 * beta**2)
-    numeric = wq_numeric(p, state, float(q)).Wq
+    numeric = wq_numeric(state, float(q)).Wq
     assert numeric == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
 
@@ -482,7 +481,7 @@ def test_wq_numeric_real_q_matches_mpmath(q):
         radial = mpmath.quad(integrand, [0] + zeros + [mpmath.inf]) / (4 * beta**2)
         angular = 2 * mpmath.sqrt(mpmath.pi) * mpmath.gamma(qm + 0.5) / mpmath.gamma(qm + 1)
         ref = radial * angular
-    assert wq_numeric(p, state, q).Wq == pytest.approx(float(ref), rel=1e-10, abs=0.0)
+    assert wq_numeric(state, q).Wq == pytest.approx(float(ref), rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [330, 400])
@@ -492,9 +491,9 @@ def test_entropies_answer_at_quantum_numbers_in_the_hundreds(n):
     # W_1 normalised and R(1.01) within criterion 9's 0.02 of S.
     p = make_params(De=3.0, re=1.0, delta=0.2)
     state = solve_state(p, StateSpec(n, 1))
-    s = shannon_numeric(p, state)
-    w1 = wq_numeric(p, state, 1.0).Wq
-    r = renyi(wq_numeric(p, state, 1.01))
+    s = shannon_numeric(state)
+    w1 = wq_numeric(state, 1.0).Wq
+    r = renyi(wq_numeric(state, 1.01))
     assert math.isfinite(s) and math.isfinite(w1) and math.isfinite(r)
     assert abs(w1 - 1.0) <= 1e-10
     assert abs(r - s) <= 0.02
@@ -507,13 +506,13 @@ def test_fisher_answers_at_quantum_numbers_in_the_hundreds(n):
     # quadrature must meet check_fisher's 1e-8 against the closed form.
     p = make_params(De=3.0, re=1.0, delta=0.2)
     state = solve_state(p, StateSpec(n, 1))
-    closed = fisher_closed(p, state).I
-    assert abs(fisher_numeric(p, state).I - closed) <= 1e-8 * closed
+    closed = fisher_closed(state).I
+    assert abs(fisher_numeric(state).I - closed) <= 1e-8 * closed
 
 
-def test_wq_numeric_rejects_bad_q(std_params, std_state):
+def test_wq_numeric_rejects_bad_q(std_state):
     with pytest.raises(ValueError):
-        wq_numeric(std_params, std_state, 0.0)
+        wq_numeric(std_state, 0.0)
 
 
 # --------------------------------------------------- finite-difference FD

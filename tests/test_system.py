@@ -7,6 +7,7 @@ E_theta -> lambda -> beta -> E -> N is caught immediately.
 """
 
 import importlib
+import inspect
 import math
 import pkgutil
 
@@ -17,7 +18,9 @@ import scipy.special as sps
 import kratzer2d
 from kratzer2d import (
     AngularMode,
+    SolvedState,
     StateSpec,
+    SystemParams,
     UnboundAngularError,
     angular_eigenvalue,
     angular_function,
@@ -178,6 +181,7 @@ def test_solve_state_method_follows_the_mode(dipole_params):
     assert solve_state(dipole_params, spec, mode=cosine, method="matrix").method == "matrix"
     state = solve_state(dipole_params, spec, mode=mathieu)
     assert state.method == "matrix"
+    assert state.params is dipole_params
     assert state.e_theta == angular_eigenvalue(dipole_params, 2, "matrix")
     with pytest.raises(ValueError, match="Mathieu mode"):
         solve_state(dipole_params, spec, mode=mathieu, method="series")
@@ -331,20 +335,20 @@ def test_mathieu_profile_matches_scipy_cem_at_integer_order(nu, b):
 # ----------------------------------------------------------------- density
 
 
-def test_density_scalar_and_shapes(dipole_params, dipole_state):
-    out = density(dipole_params, dipole_state, 1.0, 0.0)
+def test_density_scalar_and_shapes(dipole_state):
+    out = density(dipole_state, 1.0, 0.0)
     assert isinstance(out, float) and out > 0.0
     r = np.linspace(0.1, 5.0, 11)
-    vals = density(dipole_params, dipole_state, r, 0.3)
+    vals = density(dipole_state, r, 0.3)
     assert vals.shape == (11,) and np.all(vals >= 0.0)
 
 
-def test_density_of_zero_d_arrays_is_a_float(dipole_params, dipole_state):
+def test_density_of_zero_d_arrays_is_a_float(dipole_state):
     # A 0-d array for r or theta is a scalar point, whichever argument it is.
-    ref = density(dipole_params, dipole_state, 1.0, 0.3)
+    ref = density(dipole_state, 1.0, 0.3)
     for r, theta in ((1.0, np.array(0.3)), (np.array(1.0), 0.3),
                      (np.array(1.0), np.array(0.3))):
-        out = density(dipole_params, dipole_state, r, theta)
+        out = density(dipole_state, r, theta)
         assert isinstance(out, float) and out == ref
 
 
@@ -353,24 +357,24 @@ def test_density_on_an_r_theta_mesh(dipole_params, mode):
     state = solve_state(dipole_params, StateSpec(1, 2), mode=mode)
     r, theta = np.meshgrid(np.linspace(0.5, 3.0, 4), np.linspace(0.1, 2.0, 3),
                            indexing="ij")
-    mesh = density(dipole_params, state, r, theta)
+    mesh = density(state, r, theta)
     assert mesh.shape == (4, 3)
-    points = [density(dipole_params, state, float(a), float(t))
+    points = [density(state, float(a), float(t))
               for a, t in zip(r.ravel(), theta.ravel())]
     np.testing.assert_allclose(mesh.ravel(), points, rtol=1e-13, atol=0)
 
 
-def test_density_angular_node(dipole_params, dipole_state):
+def test_density_angular_node(dipole_state):
     # m = 2 cosine profile vanishes at theta = pi/4.
-    assert density(dipole_params, dipole_state, 1.0, math.pi / 4.0) < 1e-12
+    assert density(dipole_state, 1.0, math.pi / 4.0) < 1e-12
 
 
-def test_density_vanishes_at_origin_limit(std_params, std_state):
+def test_density_vanishes_at_origin_limit(std_state):
     # rho ~ r^(2 lam - 1) with lam > 1/2, so the density falls to zero
     # as r -> 0 and decays exponentially at large r.
-    small = density(std_params, std_state, 1e-12, 0.0)
-    large = density(std_params, std_state, 60.0, 0.0)
-    peak = density(std_params, std_state, 1.0, 0.0)
+    small = density(std_state, 1e-12, 0.0)
+    large = density(std_state, 60.0, 0.0)
+    peak = density(std_state, 1.0, 0.0)
     assert small < 1e-15 and large < 1e-15 and peak > 1e-3
 
 
@@ -390,3 +394,21 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.__all__ names {name}"
             checked += 1
     assert checked > 100
+
+
+def test_no_public_function_takes_both_params_and_a_solved_state():
+    # A solved state carries the parameters it was solved from; a function
+    # that takes both lets a caller pass a pair that does not match.
+    takes_state = []
+    for info in pkgutil.iter_modules(kratzer2d.__path__, "kratzer2d."):
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            fn = getattr(module, name)
+            if not inspect.isfunction(fn):
+                continue
+            params = inspect.signature(fn, eval_str=True).parameters.values()
+            kinds = {p.annotation for p in params}
+            assert not {SystemParams, SolvedState} <= kinds, f"{info.name}.{name}"
+            if SolvedState in kinds:
+                takes_state.append(name)
+    assert {"fisher_closed", "shannon_numeric", "evaluate", "density"} <= set(takes_state)
