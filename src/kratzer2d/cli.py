@@ -32,7 +32,8 @@ from .system import (
     make_params,
     solve_state,
 )
-from .validation import CheckResult, computed_table, evaluate, run_checks
+from .validation import (TABLE_DELTA, TABLE_DIPOLE, TABLE_MOLECULES, TABLE_Q,
+                         CheckResult, computed_table, evaluate, run_checks)
 
 # Each measure and the symbol of its headline value.
 SYMBOLS = {"fisher": "I", "shannon": "S", "tsallis": "T", "renyi": "R",
@@ -367,12 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="published-table layout for presets")
     p_table.add_argument("--tables", type=int, choices=(1, 2), default=1,
                          help="1: Fisher/Shannon; 2: Tsallis/Renyi")
-    p_table.add_argument("--presets", default="Cs2,Li2,SiSn",
+    p_table.add_argument("--presets", default=",".join(TABLE_MOLECULES),
                          help="comma list of preset names")
     p_table.add_argument("--preset-file", help="JSON file merged over built-ins")
-    p_table.add_argument("--delta", type=float, default=0.2)
-    p_table.add_argument("--D", type=float, default=0.4)
-    p_table.add_argument("--q", type=int, default=2,
+    p_table.add_argument("--delta", type=float, default=TABLE_DELTA)
+    p_table.add_argument("--D", type=float, default=TABLE_DIPOLE)
+    p_table.add_argument("--q", type=int, default=TABLE_Q,
                          help="Tsallis/Renyi order (recorded in the footer)")
     p_table.add_argument("--units", choices=UNIT_CHOICES, default="raw")
     p_table.add_argument("--method", choices=("series", "matrix"), default=None)

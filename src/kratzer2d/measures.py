@@ -90,14 +90,14 @@ def fisher_closed(solved: SolvedState) -> FisherResult:
     8 n beta^2 / (n + lam) from that cross term; it disagrees with the
     defining integral for every n >= 1, which the quadrature oracle
     confirms.)  The angular part is
-    8 m^2 beta^2 / ((n + lam) (2 lam - 1)); both parts assume the cosine
-    angular convention.
+    8 m^2 beta^2 / ((n + lam) (2 lam - 1)), 0 at m = 0 where lam may be 1/2;
+    both parts assume the cosine angular convention.
     """
     n, m = solved.spec.n_r, solved.spec.m
     lam, beta = solved.lam, solved.beta
     bsq = beta * beta
     i1 = 2.0 * bsq * (2.0 * n + 1.0) / (n + lam)
-    i2 = 8.0 * m * m * bsq / ((n + lam) * (2.0 * lam - 1.0))
+    i2 = 8.0 * m * m * bsq / ((n + lam) * (2.0 * lam - 1.0)) if m else 0.0
     return FisherResult(i1 + i2, i1, i2)
 
 

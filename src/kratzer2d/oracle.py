@@ -25,7 +25,9 @@ turn of the one profile class (cosine mode is its b = 0 case), the
 definition that the package and benchmarks/reference.py share;
 angular_integrals_numeric says how far they sit from the exact
 integrals.  The radial spectrum is re-derived with a finite-difference
-eigensolver that never touches the closed-form quantisation.  Large
+eigensolver that never touches the closed-form quantisation: it takes
+lambda and its box scale from solve_state, and its energies from its
+own grid.  Large
 parameter scales are handled by keeping normalisation prefactors in log
 space; quadrature weights are normalised and their Gamma(alpha+1) mass
 carried separately.
@@ -46,11 +48,9 @@ from .system import (
     SolvedState,
     StateSpec,
     SystemParams,
-    UnboundAngularError,
-    angular_eigenvalue,
     angular_profile,
-    beta_param,
     profile_key,
+    solve_state,
 )
 from .specfun import _laguerre_scaled, _scipy_linalg, eigh_tridiagonal, log_abs_laguerre
 
@@ -457,25 +457,22 @@ def radial_fd_eigen(
 ) -> list[float]:
     """Lowest radial eigenvalues by second-order finite differences.
 
-    Discretises the radial operator (second derivative plus the
-    inverse-square and Coulomb-like terms) on a uniform Dirichlet grid
-    sized from the closed-form length scale, solves the tridiagonal
-    eigenproblem on 4001 interior points and on the half-spacing
-    refinement (8003 points), and Richardson-extrapolates the O(h^2)
-    error.  Energies are returned in the same convention as
+    Takes lambda and the box scale (beta of the highest state asked
+    for) from ``solve_state``, which raises UnboundAngularError for an
+    unbound order; the energies come from the grid alone.  Discretises
+    the radial operator (second derivative plus the inverse-square and
+    Coulomb-like terms) on a uniform Dirichlet grid, solves the
+    tridiagonal eigenproblem on 4001 interior points and on the
+    half-spacing refinement (8003 points), and Richardson-extrapolates
+    the O(h^2) error.  Energies are returned in the same convention as
     SolvedState.energy (well offset excluded).
     """
     if count < 1 or count > 10:
         raise ValueError(f"radial_fd_eigen supports 1 <= count <= 10, got {count}")
-    e_theta = angular_eigenvalue(params, m)
-    radicand = -e_theta + 2.0 * params.mu * params.B + params.delta**2
-    if radicand <= 0.0:
-        raise UnboundAngularError(f"no bound radial branch (radicand {radicand:.3g})")
-    lam = 0.5 + math.sqrt(radicand)
-    c2 = radicand - 0.25  # = lam (lam - 1)
+    top = solve_state(params, StateSpec(count - 1, m))
+    c2 = top.lam * (top.lam - 1.0)
     two_mu_a = 2.0 * params.mu * params.A
-    beta_min = beta_param(params, StateSpec(count - 1, m), lam)
-    r_max = (40.0 + 10.0 * (count - 1)) / (2.0 * beta_min)
+    r_max = (40.0 + 10.0 * (count - 1)) / (2.0 * top.beta)
 
     def spectrum(points: int) -> np.ndarray:
         h = r_max / (points + 1)

@@ -34,7 +34,6 @@ __all__ = [
     "make_params",
     "mathieu_coupling",
     "angular_eigenvalue",
-    "beta_param",
     "solve_state",
     "profile_key",
     "angular_profile",
@@ -111,16 +110,24 @@ class SolvedState:
     """
 
     spec: StateSpec
-    b: float
     e_theta: float
     lam: float
     beta: float
     energy: float
-    energy_total: float
     log_norm_sq: float
     mode: AngularMode
     method: str
     params: SystemParams
+
+    @property
+    def b(self) -> float:
+        """Mathieu coupling b = 4 mu Dm of the angular equation."""
+        return mathieu_coupling(self.params)
+
+    @property
+    def energy_total(self) -> float:
+        """Energy including the constant well offset C = De (hartree)."""
+        return self.energy + self.params.C
 
 
 def make_params(
@@ -173,29 +180,6 @@ def angular_eigenvalue(params: SystemParams, m: int, method: str = "series") -> 
     return _angular_eigenvalue(params, m, method)[0]
 
 
-def _lambda_from_angular(params: SystemParams, e_theta: float) -> float:
-    """Radial exponent lambda = 1/2 + sqrt(-E_theta + 2 mu B + delta^2).
-
-    Raises UnboundAngularError when the radicand is non-positive, i.e.
-    when the angular eigenvalue overwhelms the centrifugal barrier and
-    the inverse-square attraction has no bound branch.
-    """
-    radicand = -e_theta + 2.0 * params.mu * params.B + params.delta**2
-    if radicand <= 0.0:
-        raise UnboundAngularError(
-            f"radicand {radicand:.6g} <= 0: angular eigenvalue {e_theta:.6g} "
-            "leaves no bound radial branch"
-        )
-    return 0.5 + math.sqrt(radicand)
-
-
-def beta_param(params: SystemParams, spec: StateSpec, lam: float) -> float:
-    """Inverse radial length scale beta = -mu A / (n_r + lambda) (1/bohr)."""
-    if spec.n_r < 0:
-        raise ValueError(f"radial quantum number must be >= 0, got {spec.n_r}")
-    return -params.mu * params.A / (spec.n_r + lam)
-
-
 def solve_state(
     params: SystemParams,
     spec: StateSpec,
@@ -204,23 +188,34 @@ def solve_state(
 ) -> SolvedState:
     """Assemble the full eigenvalue chain for one (n_r, m) state; ``method``
     defaults to "series" in cosine mode and to "matrix" in Mathieu mode,
-    whose profile is the matrix's and which refuses the series."""
+    whose profile is the matrix's and which refuses the series.
+
+    Then lambda = 1/2 + sqrt(-E_theta + 2 mu B + delta^2) and
+    beta = -mu A / (n_r + lambda) (1/bohr); a radicand that is not
+    positive (NaN included) leaves no bound radial branch and raises
+    UnboundAngularError.
+    """
     cosine = mode is AngularMode.PAPER_COSINE
     if not cosine and method == "series":
         raise ValueError("Mathieu mode takes its eigenvalue from the matrix, not the series")
     e_theta, method = _angular_eigenvalue(
         params, spec.m, method or ("series" if cosine else "matrix"))
-    lam = _lambda_from_angular(params, e_theta)
-    beta = beta_param(params, spec, lam)
-    e = -beta * beta / (2.0 * params.mu)
+    radicand = -e_theta + 2.0 * params.mu * params.B + params.delta**2
+    if not radicand > 0.0:
+        raise UnboundAngularError(
+            f"radicand {radicand:.6g} <= 0: angular eigenvalue {e_theta:.6g} "
+            "leaves no bound radial branch"
+        )
+    if spec.n_r < 0:
+        raise ValueError(f"radial quantum number must be >= 0, got {spec.n_r}")
+    lam = 0.5 + math.sqrt(radicand)
+    beta = -params.mu * params.A / (spec.n_r + lam)
     return SolvedState(
         spec=spec,
-        b=mathieu_coupling(params),
         e_theta=e_theta,
         lam=lam,
         beta=beta,
-        energy=e,
-        energy_total=e + params.C,
+        energy=-beta * beta / (2.0 * params.mu),
         log_norm_sq=_log_norm_sq(spec.n_r, lam, beta),
         mode=mode,
         method=method,

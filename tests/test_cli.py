@@ -263,6 +263,21 @@ def test_non_finite_parameters_exit_1(flags, capsys):
     assert err.startswith("error: ") and "must be" in err
 
 
+def test_nan_radicand_exits_1(capsys):
+    # At D = 1e300 the characteristic-number series overflows to NaN,
+    # which a bound check written as radicand <= 0 let through.
+    argv = ["compute", "--De", "1", "--re", "1", "--D", "1e300", "--measure", "energy"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: radicand nan") and err.count("\n") == 1
+
+
+def test_fisher_where_lambda_rounds_to_one_half_exits_0(capsys):
+    assert main(["compute", "--De", "1e-300", "--re", "1", "--measure", "fisher"]) == 0
+    assert "angular I2=0;" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "flags,q,w",
     [(["--De", "1e6", "--re", "7e-5", "--mu", "1e9", "--m", "1",

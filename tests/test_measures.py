@@ -76,6 +76,16 @@ def test_fisher_m0_has_no_angular_share(std_params):
         assert fisher_closed(s).I2 == 0.0
 
 
+def test_fisher_m0_answers_where_lambda_rounds_to_one_half():
+    # At De = 1e-300 (m = 0, delta = 0) lambda is 1/2 to the last bit, so
+    # the angular share's denominator (n + lam) (2 lam - 1) is 0.
+    s = solve_state(make_params(De=1e-300, re=1.0), StateSpec(0, 0))
+    assert s.lam == 0.5
+    fisher = fisher_closed(s)
+    assert math.isfinite(fisher.I)
+    assert fisher.I2 == 0.0
+
+
 def test_fisher_closed_equals_quadrature():
     # Spot grid (the acceptance suite runs the full one): excited
     # states are where a wrong cross term would show up first.

@@ -17,6 +17,7 @@ from kratzer2d import (
     AccuracyError,
     AngularMode,
     StateSpec,
+    UnboundAngularError,
     angular_integrals_numeric,
     fisher_closed,
     fisher_numeric,
@@ -534,8 +535,9 @@ def test_fd_spectrum_frozen():
 
 def test_fd_pins_dipole_chain(dipole_params, dipole_state):
     # The arbiter test for the radial exponent with flux + dipole: the
-    # FD solver consumes only E_theta and the radial operator, knowing
-    # nothing of the closed-form lambda, and lands on the same E(n=2).
+    # FD solver takes lambda from the chain but finds its energies on its
+    # own grid, knowing nothing of E = -beta^2 / 2 mu, and lands on the
+    # same E(n=2).
     fd = radial_fd_eigen(dipole_params, 2, count=3)
     assert fd[2] == pytest.approx(dipole_state.energy, rel=1e-8)
     assert fd[2] == pytest.approx(-0.5364487980, rel=1e-8)
@@ -547,3 +549,17 @@ def test_fd_rejects_bad_count(std_params):
     with pytest.raises(ValueError):
         radial_fd_eigen(std_params, 0, count=11)
 
+
+@pytest.mark.parametrize(
+    "params",
+    # A strong dipole against a shallow well flips the radicand's sign;
+    # at Dm = 1e300 the b^6 series overflows and the radicand is NaN.
+    [make_params(De=0.01, re=1.0, Dm=0.3), make_params(De=1.0, re=1.0, Dm=1e300)],
+    ids=["negative", "nan"],
+)
+def test_fd_spectrum_refuses_an_unbound_order_as_the_chain_does(params):
+    with pytest.raises(UnboundAngularError) as chain:
+        solve_state(params, StateSpec(0, 0))
+    with pytest.raises(UnboundAngularError) as fd:
+        radial_fd_eigen(params, 0, count=1)
+    assert str(fd.value) == str(chain.value)

@@ -6,6 +6,7 @@ and are pinned here at full precision so any drift in the chain
 E_theta -> lambda -> beta -> E -> N is caught immediately.
 """
 
+import dataclasses
 import importlib
 import inspect
 import math
@@ -134,6 +135,12 @@ def test_dipole_state_chain(dipole_params, dipole_state):
     assert dipole_state.beta == pytest.approx(1.0358077022, rel=1e-9)
     assert dipole_state.energy == pytest.approx(-0.5364487980, rel=1e-9)
     assert dipole_state.energy_total == pytest.approx(2.4635512020, rel=1e-9)
+
+
+def test_b_and_energy_total_follow_the_params(dipole_state, std_params):
+    moved = dataclasses.replace(dipole_state, params=std_params)
+    assert moved.b == mathieu_coupling(std_params)
+    assert moved.energy_total == dipole_state.energy + std_params.De
 
 
 def test_lambda_general_no_dipole():

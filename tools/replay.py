@@ -1,0 +1,109 @@
+"""Replay the benchmark workloads' requests and print a digest of each answer.
+
+For each workload and each seed, every request of the whole cycles that
+a 25 s benchmark run executes goes through ``kratzer2d.cli.main`` in this
+process (the paper-tables cycles' ``trends`` requests through
+``validation.check_trends``, as benchmarks/run.py runs them).  Then
+``check_trends``, ``validate``, ``table --tables 1|2`` in markdown and
+csv, and ``table --units converted`` run once.  Each request prints one
+line: its argv, its exit code, and the sha256 of its stdout and of its
+stderr.  The requests come from benchmarks/workloads.py, which is only
+imported.
+
+Two trees answer the same way when their outputs diff empty:
+
+    PYTHONPATH=src python tools/replay.py --seeds 3,4 > change.txt
+    PYTHONPATH=/path/to/parent/src python tools/replay.py --seeds 3,4 > parent.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import shlex
+import sys
+import warnings
+from pathlib import Path
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+
+from workloads import WORKLOADS, cycles  # noqa: E402
+
+from kratzer2d import cli, validation  # noqa: E402
+
+RUN_SECONDS = 25.0
+TRENDS = ("trends",)
+EXTRA = (
+    TRENDS,
+    ("validate",),
+    ("table", "--tables", "1"),
+    ("table", "--tables", "2"),
+    ("table", "--tables", "1", "--format", "csv"),
+    ("table", "--tables", "2", "--format", "csv"),
+    ("table", "--units", "converted"),
+)
+
+
+def workload_requests(name: str, seed: int, count: int | None = None) -> list[tuple]:
+    """The argv of every request in the first ``count`` cycles of a workload
+    (by default as many as a RUN_SECONDS run executes); ``TRENDS`` stands
+    for a check_trends request."""
+    workload = WORKLOADS[name]
+    if count is None:
+        count = workload.cycle_count(RUN_SECONDS)
+    batches = cycles(workload, seed)
+    return [request.argv if request.kind != "trends" else TRENDS
+            for _ in range(count) for request in next(batches)]
+
+
+def _run(argv: tuple) -> tuple[object, str, str]:
+    """Exit code (or "raised", with the exception on stderr), stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            if argv == TRENDS:
+                with warnings.catch_warnings():
+                    # as `kratzer2d validate`: the verdict line carries the outcome
+                    warnings.simplefilter("ignore")
+                    print(validation.check_trends().line())
+                rc = 0
+            else:
+                rc = cli.main(list(argv))
+    except SystemExit as exc:  # usage errors exit through argparse
+        rc = exc.code
+    except Exception as exc:  # noqa: BLE001 - a raising request is an answer too
+        rc = "raised"
+        err.write(f"{type(exc).__name__}: {exc}\n")
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def replay(requests):
+    """One line per request: argv, exit code, sha256 of stdout and stderr."""
+    for argv in requests:
+        rc, out, err = _run(argv)
+        label = "check_trends" if argv == TRENDS else shlex.join(argv)
+        yield f"{label}\trc={rc}\tout={_sha(out)}\terr={_sha(err)}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", required=True,
+                        help="comma list of workload seeds, e.g. 3,4")
+    args = parser.parse_args(argv)
+    seeds = [int(seed) for seed in args.seeds.split(",")]
+    requests = [argv for name in WORKLOADS for seed in seeds
+                for argv in workload_requests(name, seed)]
+    for line in replay(requests + list(EXTRA)):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
