@@ -132,13 +132,20 @@ def _log_wq(solved: SolvedState, q: int) -> float:
         )
     # (2q-1)!! 2 pi / (2^q q!) = C(2q, q) 2 pi / 4^q
     log_angular = math.log(math.comb(2 * q, q)) + _LN_2PI - 2 * q * math.log(2.0)
-    return (
+    log_wq = (
         q * solved.log_norm_sq
         - math.log(4.0 * solved.beta**2)
         + log_angular
         - (q * (2.0 * lam - 1.0) + 2.0) * math.log(q)
         + lg0
     )
+    # q ln N^2 holds -q ln Gamma(n + 2 lam), lg0 ln Gamma(q (2 lam - 1) + 2): they
+    # cancel and leave eps times their size, allowed up to 1e-10 max(1, |ln W_q|).
+    rounding = math.ulp(1.0) * (abs(q * solved.log_norm_sq) + abs(lg0))
+    if not rounding <= 1e-10 * max(1.0, abs(log_wq)):
+        raise ValueError(f"entropic-moment closed form at q = {q}, lam = {lam:.6g}: "
+                         f"ln W_q = {log_wq:.6g} may be off by {rounding:.2g}")
+    return log_wq
 
 
 def wq_closed(solved: SolvedState, q: int) -> EntropicMoment:
@@ -148,7 +155,8 @@ def wq_closed(solved: SolvedState, q: int) -> EntropicMoment:
     (2q-1)!! 2 pi / (2^q q!) for every m, including m = 0 where the
     true flat-profile integral would instead be 2 pi 2^-q; the numeric
     oracle quantifies that difference.  The moment carries ln W_q as
-    the closed form builds it.
+    the closed form builds it; ValueError where that sum's cancelling
+    terms may round off past 1e-10 max(1, |ln W_q|) (lam ~1e4 at re 1).
     """
     if q < 1 or q != int(q):
         raise ValueError(f"wq_closed requires integer q >= 1, got {q}")

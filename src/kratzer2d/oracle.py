@@ -27,10 +27,9 @@ angular_integrals_numeric says how far they sit from the exact
 integrals.  The radial spectrum is re-derived with a finite-difference
 eigensolver that never touches the closed-form quantisation: it takes
 lambda and its box scale from solve_state, and its energies from its
-own grid.  Large
-parameter scales are handled by keeping normalisation prefactors in log
-space; quadrature weights are normalised and their Gamma(alpha+1) mass
-carried separately.
+own grid.  Large parameter scales are handled by keeping normalisation
+prefactors in log space; quadrature weights are normalised and their
+Gamma(alpha+1) mass carried separately.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .system import (
     profile_key,
     solve_state,
 )
-from .specfun import _laguerre_scaled, _scipy_linalg, eigh_tridiagonal, log_abs_laguerre
+from .specfun import _laguerre_scaled, eigh_tridiagonal, log_abs_laguerre
 
 __all__ = [
     "AccuracyError",
@@ -84,23 +83,15 @@ class AngularIntegrals:
 
 
 def _laguerre_roots(n: int, alpha: float) -> np.ndarray:
-    """Zeros of L_n^(alpha): the eigenvalues of its Jacobi matrix.
+    """Zeros of L_n^(alpha), ascending: the eigenvalues of its Jacobi matrix.
 
-    One call of LAPACK's dstevd, the routine eigh_tridiagonal selects
-    for all eigenvalues, so the zeros are the same to the bit without
-    that wrapper's argument checks; like the wrapper, a 1 x 1 matrix is
-    answered without LAPACK (and without loading scipy).
+    numpy's dense symmetric eigensolver reads the lower triangle, so only
+    the diagonal and the subdiagonal (flat indices n, 2n + 1, ...) are set.
     """
-    if n <= 1:
-        return np.full(n, alpha + 1.0)
     i = np.arange(n, dtype=float)
-    diag = 2.0 * i + alpha + 1.0
-    off = np.sqrt(i[1:] * (i[1:] + alpha))
-    roots, _, info = _scipy_linalg().lapack.dstevd(diag, off, compute_v=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"dstevd failed on the Laguerre Jacobi matrix (info {info})")
-    return roots
+    jacobi = np.diag(2.0 * i + alpha + 1.0)
+    jacobi.flat[n::n + 1] = np.sqrt(i[1:] * (i[1:] + alpha))
+    return np.linalg.eigvalsh(jacobi)
 
 
 def _log_gauss_laguerre(alpha: float, K: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -182,6 +173,8 @@ def angular_integrals_numeric(
 # overstates the error: it can exceed W_q's 1e-10 integer-q bound while
 # I_80 stays within 1e-13 of the exact moment.
 _PANEL_WIDTH = 4.0
+# U grows like 2 lam: De 1e10 (re 1) takes 71 889 panels, De 1e14 7.1e6 (7 GB of nodes).
+_MAX_PANELS = 2**17
 
 
 def _unit_panel_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -269,11 +262,16 @@ def _panel_cuts(zeros: np.ndarray, upper: float) -> np.ndarray:
 
     The edges of the gaps are 0, the ``zeros`` and ``upper``; each gap is
     split evenly into the fewest panels no wider than _PANEL_WIDTH, with
-    the cuts np.linspace would place there, to the bit.
+    the cuts np.linspace would place there, to the bit.  More than
+    _MAX_PANELS panels (or NaN) raise ValueError before any layout.
     """
     edges = np.concatenate(([0.0], zeros, [upper]))
     gaps = edges[1:] - edges[:-1]
-    counts = np.ceil(gaps / _PANEL_WIDTH).astype(np.intp)
+    counts = np.ceil(gaps / _PANEL_WIDTH)
+    if not counts.sum() <= _MAX_PANELS:
+        raise ValueError(f"the radial panel rule would take {counts.sum():.4g} panels, "
+                         f"past its limit of {_MAX_PANELS}")
+    counts = counts.astype(np.intp)
     first = np.cumsum(counts) - counts
     cuts = np.empty(first[-1] + counts[-1] + 1)
     cuts[-1] = upper

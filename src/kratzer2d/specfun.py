@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -55,23 +54,17 @@ class ValidityWarning(UserWarning):
     """Characteristic-number series used outside its documented coupling range."""
 
 
-@cache
-def _scipy_linalg():
-    """scipy.linalg, imported on the first tridiagonal eigensolve.
-
-    Importing it takes about 0.3 s (2-vCPU x86 VM), a thousand closed-form
-    answers, and the closed forms never solve an eigenproblem, so a
-    process that only asks for them never loads scipy.  The Mathieu matrix route and the oracle's
-    Laguerre zeros and finite-difference spectrum load it on first use.
-    """
-    import scipy.linalg
-
-    return scipy.linalg
-
-
 def eigh_tridiagonal(*args, **kwargs):
-    """scipy.linalg.eigh_tridiagonal, loaded by ``_scipy_linalg`` on the first call."""
-    return _scipy_linalg().eigh_tridiagonal(*args, **kwargs)
+    """scipy.linalg.eigh_tridiagonal, the package's one use of scipy.
+
+    scipy is imported here, on the first call: the import takes about
+    0.3 s (2-vCPU x86 VM), a thousand closed-form answers.  Only the
+    Mathieu matrix route and the oracle's finite-difference spectrum
+    call this, so a process that asks for neither never loads scipy.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(*args, **kwargs)
 
 
 # B_{2j} / (2j) for j = 1..7: coefficients of y^-2j in the expansion of

@@ -273,6 +273,44 @@ def test_nan_radicand_exits_1(capsys):
     assert err.startswith("error: radicand nan") and err.count("\n") == 1
 
 
+def _limited_memory():
+    # 1 GB of address space: a layout past the panel limit fails with
+    # MemoryError instead of taking the machine's memory.
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("flags, reason", [
+    (["--De", "1e14", "--measure", "shannon"], "panels"),
+    (["--De", "1e300", "--measure", "shannon"], "panels"),
+    (["--De", "1e30", "--measure", "renyi,wq"], "ln W_q"),
+    (["--De", "1e30", "--measure", "renyi"], "ln W_q"),
+    (["--De", "1e300", "--measure", "wq"], "ln W_q"),
+], ids=["shannon-1e14", "shannon-1e300", "renyi-wq-1e30", "renyi-1e30", "wq-1e300"])
+def test_requests_past_the_numeric_range_exit_1(flags, reason):
+    # Shannon's panel rule would lay out 7.1e6 panels at De 1e14 (and
+    # overflow its count at 1e300); the W_q closed form's cancelling
+    # terms round off past 1e-10 of ln W_q at both larger depths.
+    argv = [sys.executable, "-m", "kratzer2d.cli", "compute", "--re", "1"] + flags
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                          preexec_fn=_limited_memory)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert reason in proc.stderr
+
+
+def test_converted_preset_moment_at_lambda_465(capsys):
+    argv = ["compute", "--preset", "Cs2", "--units", "converted", "--delta", "0.2",
+            "--D", "0.4", "--n", "8", "--m", "2", "--method", "matrix",
+            "--measure", "renyi", "--q", "4"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "lambda=465.109993 " in lines[2]
+    assert lines[-1].startswith("renyi: R_4=3.573731729 ")
+
+
 def test_fisher_where_lambda_rounds_to_one_half_exits_0(capsys):
     assert main(["compute", "--De", "1e-300", "--re", "1", "--measure", "fisher"]) == 0
     assert "angular I2=0;" in capsys.readouterr().out
@@ -643,6 +681,9 @@ run("compute", "--De", "1", "--re", "1", "--n", "2", "--m", "1",
     "--measure", "tsallis", "--q", "2")
 run("sweep", "--var", "De", "--from", "1", "--to", "2", "--steps", "3", "--De", "1")
 assert not scipy_modules(), scipy_modules()
+run("compute", "--De", "1", "--re", "1", "--n", "2", "--m", "1", "--measure", "shannon")
+run("validate", "--checks", "entropic-moments,renyi-limit")
+assert not scipy_modules(), scipy_modules()
 run("compute", "--De", "3", "--re", "1", "--D", "0.3", "--delta", "0.2", "--n", "1",
     "--m", "1", "--mode", "mathieu", "--method", "matrix", "--measure", "fisher")
 assert "scipy.linalg" in sys.modules, scipy_modules()
@@ -650,8 +691,9 @@ assert "scipy.linalg" in sys.modules, scipy_modules()
 
 
 def test_closed_forms_never_load_scipy():
-    # Cosine closed forms solve no eigenproblem, so scipy stays unloaded
-    # until the Mathieu matrix route needs its tridiagonal eigensolver.
+    # Cosine closed forms solve no eigenproblem, and the quadratures take
+    # their Laguerre zeros from numpy, so scipy stays unloaded until the
+    # Mathieu matrix route needs its tridiagonal eigensolver.
     proc = _fresh_python(SCIPY_ON_DEMAND)
     assert proc.returncode == 0, proc.stderr
 
@@ -676,8 +718,9 @@ print(json.dumps(runs))
     ["compute", "--De", "1", "--re", "1", "--n", "2", "--m", "1", "--measure", "shannon"],
 ], ids=["mathieu-matrix", "cosine-shannon"])
 def test_first_request_prints_what_a_warm_one_does(argv):
-    # The first eigensolve imports scipy inside compute's warning capture,
-    # so a warning raised by that import would be printed and flagged.
+    # The Mathieu case's first eigensolve imports scipy inside compute's
+    # warning capture, so a warning raised by that import would be printed
+    # and flagged.
     proc = _fresh_python(TWICE, *argv)
     assert proc.returncode == 0, proc.stderr
     (first_code, first_out, first_err), (code, out, _) = json.loads(proc.stdout)

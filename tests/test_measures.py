@@ -194,6 +194,29 @@ def test_wq_numeric_log_matches_closed_beyond_double_range(kwargs, q):
     closed = wq_closed(state, q).log_Wq
     assert wq_numeric(state, float(q)).log_Wq == pytest.approx(closed, rel=1e-12, abs=0)
 
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_wq_closed_answers_to_lambda_1500(n):
+    # De 1.125e6 at re 1 puts lam at 1500.5, past the converted presets'
+    # 90-465; ln W_q's cancelling terms still round off by under 5e-11.
+    state = solve_state(make_params(De=1.125e6, re=1.0), StateSpec(n, 1))
+    assert state.lam == pytest.approx(1500.5)
+    for q in range(1, 5):
+        closed = wq_closed(state, q).log_Wq
+        assert wq_numeric(state, float(q)).log_Wq == pytest.approx(closed, rel=0, abs=1e-10)
+
+
+@pytest.mark.parametrize("De", [1e16, 1e30, 1e300])
+def test_wq_closed_refuses_where_rounding_swamps_ln_wq(De):
+    # From lam 1.4e8 on the cancelling terms are past 1e10; unguarded, the
+    # closed form gave R_2 = -32 at De 1e30 and W_2 = 1 at De 1e300.
+    for n in (0, 5):
+        state = solve_state(make_params(De=De, re=1.0), StateSpec(n, 1))
+        for q in range(1, 5):
+            with pytest.raises(ValueError, match="may be off by"):
+                wq_closed(state, q)
+
+
 def test_wq_closed_euler_integral_nodeless():
     # n = 0, m = 1, q = 2 reduces to a single Euler integral.
     p = make_params(De=1.0, re=1.0)

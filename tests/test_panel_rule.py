@@ -3,9 +3,10 @@
 Its range ends at a cut past the last Laguerre zero whose tail bound is
 proven (oracle._tail_cut); the bounds are checked here against 30-digit
 mpmath integrals of the tail.  The panel layout is checked against the
-one np.linspace per gap that it replaces, the Laguerre zeros against
-eigh_tridiagonal, and Shannon on a 200-state grid against values frozen
-from the rule that ended at spread + 25 sqrt(spread) + 60.
+one np.linspace per gap that it replaces, and its size against its
+limit; the Laguerre zeros against eigh_tridiagonal and 40-digit mpmath
+roots, and Shannon on a 200-state grid against values frozen from the
+rule that ended at spread + 25 sqrt(spread) + 60.
 """
 
 import json
@@ -204,6 +205,16 @@ def test_panel_integrals_sum_both_orders_of_one_node_matrix():
     assert high == pytest.approx([17.0**6 / 6.0, 17.0], rel=1e-13)
 
 
+def test_panel_cuts_refuse_a_layout_past_the_limit():
+    # One gap of 2^17 panels is laid out; one more panel, or a NaN count,
+    # raises before the layout is allocated.
+    limit = oracle._MAX_PANELS
+    assert oracle._panel_cuts(np.array([]), 4.0 * limit).size == limit + 1
+    for upper in (4.0 * (limit + 1), math.nan, 1e300):
+        with pytest.raises(ValueError, match="panels"):
+            oracle._panel_cuts(np.array([]), upper)
+
+
 # ------------------------------------------------------------------- roots
 
 
@@ -216,6 +227,41 @@ def test_laguerre_roots_equal_eigh_tridiagonal_to_the_bit(n, alpha):
     ref = eigh_tridiagonal(diag, off, eigvals_only=True) if n else np.array([])
     roots = oracle._laguerre_roots(n, alpha)
     assert roots.dtype == ref.dtype and np.array_equal(roots, ref)
+
+
+def _mp_laguerre_pair(mpmath, n, a, x):
+    """L_n^(a)(x) and L_(n-1)^(a)(x) by the three-term recurrence in mpmath."""
+    prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+    for k in range(n):
+        prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
+    return cur, prev
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 60, 206])
+@pytest.mark.parametrize("alpha", [-0.9, 0.3, 79.0])
+def test_laguerre_roots_match_mpmath_roots(n, alpha):
+    # Two 40-digit Newton steps from each zero, with x L_n' = n L_n -
+    # (n + a) L_(n-1); the second moves it by under 1e-20 of itself, so the
+    # root is settled far below an ulp, and n distinct roots of a degree-n
+    # polynomial are all of them.  A symmetric eigensolver is normwise
+    # accurate, so each zero is within a few ulps of the largest (22 at
+    # n = 206 on x86-64 numpy 2.4 with OpenBLAS), here bounded by 4 sqrt(n).
+    mpmath = pytest.importorskip("mpmath")
+    roots = oracle._laguerre_roots(n, alpha)
+    assert roots.size == n
+    with mpmath.workdps(40):
+        a, refined = mpmath.mpf(alpha), []
+        for root in roots.tolist():
+            x = mpmath.mpf(root)
+            for _ in range(2):
+                value, prev = _mp_laguerre_pair(mpmath, n, a, x)
+                step = x * value / (n * value - (n + a) * prev)
+                x -= step
+            assert abs(step) <= mpmath.mpf(10) ** -20 * x
+            refined.append(x)
+        assert all(lo < hi for lo, hi in zip(refined, refined[1:]))
+        worst = max(abs(mpmath.mpf(root) - x) for root, x in zip(roots.tolist(), refined))
+    assert worst <= 4.0 * math.sqrt(n) * np.spacing(roots[-1])
 
 
 # ---------------------------------------------------------- frozen Shannon

@@ -26,3 +26,14 @@ def test_a_cycle_replays_to_one_stable_line_per_request(replay_tool):
         assert label.split()[0] == argv[0]
         assert rc == "rc=0" and out.startswith("out=") and err.startswith("err=")
     assert list(replay_tool.replay(requests)) == first
+
+
+def test_report_prints_the_lines_then_a_summary_on_stderr(replay_tool, capsys):
+    requests = [("compute", "--De", "1", "--re", "1", "--measure", "energy"),
+                ("compute", "--De", "1e30", "--re", "1", "--measure", "renyi"),
+                ("compute", "--De", "1", "--re", "1", "--measure", "energy"),
+                ("compute",)]
+    replay_tool.report(requests)
+    out, err = capsys.readouterr()
+    assert out.splitlines() == list(replay_tool.replay(requests))
+    assert err == "4 requests: rc=0 2, rc=1 1, rc=2 1\n"

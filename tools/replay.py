@@ -7,10 +7,11 @@ process (the paper-tables cycles' ``trends`` requests through
 ``check_trends``, ``validate``, ``table --tables 1|2`` in markdown and
 csv, and ``table --units converted`` run once.  Each request prints one
 line: its argv, its exit code, and the sha256 of its stdout and of its
-stderr.  The requests come from benchmarks/workloads.py, which is only
-imported.
+stderr.  After the last request one summary line goes to stderr: the
+request count and the count of each exit code.  The requests come from
+benchmarks/workloads.py, which is only imported.
 
-Two trees answer the same way when their outputs diff empty:
+Two trees answer the same way when their stdout diffs empty:
 
     PYTHONPATH=src python tools/replay.py --seeds 3,4 > change.txt
     PYTHONPATH=/path/to/parent/src python tools/replay.py --seeds 3,4 > parent.txt
@@ -26,6 +27,7 @@ import io
 import shlex
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmarks"))
@@ -92,6 +94,17 @@ def replay(requests):
         yield f"{label}\trc={rc}\tout={_sha(out)}\terr={_sha(err)}"
 
 
+def report(requests) -> None:
+    """Print replay's line for each request on stdout, then one summary
+    line on stderr: the request count and the count of each exit code."""
+    codes = Counter()
+    for line in replay(requests):
+        print(line, flush=True)
+        codes[line.split("\t")[1]] += 1
+    counts = ", ".join(f"{code} {count}" for code, count in sorted(codes.items()))
+    print(f"{sum(codes.values())} requests: {counts}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", required=True,
@@ -100,8 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     seeds = [int(seed) for seed in args.seeds.split(",")]
     requests = [argv for name in WORKLOADS for seed in seeds
                 for argv in workload_requests(name, seed)]
-    for line in replay(requests + list(EXTRA)):
-        print(line, flush=True)
+    report(requests + list(EXTRA))
     return 0
 
 
