@@ -105,7 +105,8 @@ def shannon_closed(solved: SolvedState) -> ShannonResult:
     """Four-term Shannon entropy decomposition (S4 asymptotic, O(n) dropped)."""
     n, lam, beta = solved.spec.n_r, solved.lam, solved.beta
     s1 = 2.0 * math.log(2.0) - 1.0
-    s2 = -math.log(2.0 * beta * beta / ((n + lam) * math.pi))
+    # 2 ln beta, not ln beta^2: beta^2 is subnormal below beta ~ 7.5e-155
+    s2 = -(math.log(2.0) + 2.0 * math.log(beta) - math.log((n + lam) * math.pi))
     s3 = (
         (n + 2.0 * lam)
         * (-(2.0 * lam - 1.0) * digamma(n + 2.0 * lam + 1.0) + 2.0 * n + 2.0 * lam + 1.0)
@@ -134,7 +135,7 @@ def _log_wq(solved: SolvedState, q: int) -> float:
     log_angular = math.log(math.comb(2 * q, q)) + _LN_2PI - 2 * q * math.log(2.0)
     log_wq = (
         q * solved.log_norm_sq
-        - math.log(4.0 * solved.beta**2)
+        - 2.0 * math.log(2.0 * solved.beta)
         + log_angular
         - (q * (2.0 * lam - 1.0) + 2.0) * math.log(q)
         + lg0

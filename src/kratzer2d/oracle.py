@@ -26,10 +26,12 @@ definition that the package and benchmarks/reference.py share;
 angular_integrals_numeric says how far they sit from the exact
 integrals.  The radial spectrum is re-derived with a finite-difference
 eigensolver that never touches the closed-form quantisation: it takes
-lambda and its box scale from solve_state, and its energies from its
-own grid.  Large parameter scales are handled by keeping normalisation
-prefactors in log space; quadrature weights are normalised and their
-Gamma(alpha+1) mass carried separately.
+lambda and its box scale from the solved state of its highest level,
+and its energies from its own grid.  Every route takes a solved state
+alone; only the system module solves.  Large parameter scales are
+handled by keeping normalisation prefactors in log space (ln 4 beta^2
+as 2 ln 2 beta, so a subnormal beta^2 costs no digits); quadrature
+weights are normalised and their Gamma(alpha+1) mass carried separately.
 """
 
 from __future__ import annotations
@@ -41,16 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .measures import EntropicMoment, FisherResult
-from .system import (
-    ANGULAR_GRID,
-    AngularMode,
-    SolvedState,
-    StateSpec,
-    SystemParams,
-    angular_profile,
-    profile_key,
-    solve_state,
-)
+from .system import ANGULAR_GRID, AngularMode, SolvedState
 from .specfun import _laguerre_scaled, eigh_tridiagonal, log_abs_laguerre
 
 __all__ = [
@@ -109,12 +102,7 @@ def _log_gauss_laguerre(alpha: float, K: int) -> tuple[np.ndarray, np.ndarray, f
     return nodes, log_w - np.max(log_w), math.lgamma(alpha + 1.0)
 
 
-def angular_integrals_numeric(
-    params: SystemParams,
-    m: int,
-    mode: AngularMode,
-    q: float = 2.0,
-) -> AngularIntegrals:
+def angular_integrals_numeric(solved: SolvedState, q: float = 2.0) -> AngularIntegrals:
     """Trapezoid sums of the angular integrals on a uniform grid over one turn.
 
     These sums define the angular integrals; benchmarks/reference.py
@@ -136,7 +124,7 @@ def angular_integrals_numeric(
     pi-normalisation from the first of these grids, so a profile asked
     for k orders samples exactly k grids.
     """
-    profile = angular_profile(*profile_key(params, m, mode))
+    profile = solved.profile
     key = float(q)
     if key in profile.integrals:
         return profile.integrals[key]
@@ -146,7 +134,7 @@ def angular_integrals_numeric(
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(phi_sq > 1e-300, phi_sq * np.log(phi_sq), 0.0)
     ilog = h * float(np.sum(plogp))
-    if mode is AngularMode.PAPER_COSINE:
+    if solved.mode is AngularMode.PAPER_COSINE:
         ilog = (8.0 * ilog - 2.0 * h * float(np.sum(plogp[::2]))) / 7.0
     profile.integrals[key] = AngularIntegrals(
         i2norm=h * float(np.sum(phi_sq)),
@@ -308,7 +296,7 @@ def fisher_numeric(solved: SolvedState) -> FisherResult:
     integrals of Phi^2 and Phi'^2, in either angular mode.
     """
     n, lam = solved.spec.n_r, solved.lam
-    ang = angular_integrals_numeric(solved.params, solved.spec.m, solved.mode)
+    ang = angular_integrals_numeric(solved)
     twol = 2.0 * lam
 
     def parts(K: int) -> tuple[float, float]:
@@ -348,7 +336,7 @@ def _shannon_cut(solved: SolvedState) -> tuple[np.ndarray, float, float, float]:
     w(U) e^(-r (x - U)) the second row's tail is at most
     T_r = T_w (|ln rho(U)| + (1 + 1/U) / r).
     """
-    twol, log_4b2 = 2.0 * solved.lam, math.log(4.0 * solved.beta * solved.beta)
+    twol, log_4b2 = 2.0 * solved.lam, 2.0 * math.log(2.0 * solved.beta)
     zeros = _laguerre_roots(solved.spec.n_r, twol - 1.0)
     upper, log_tail, rate = _tail_cut(twol, 1.0, 1.0, zeros,
                                       solved.log_norm_sq - log_4b2, log_mass=0.0)
@@ -370,9 +358,9 @@ def shannon_numeric(solved: SolvedState, target: float = 1e-9) -> float:
     profile integrals.  Raises AccuracyError when the error estimate
     exceeds ``target``.
     """
-    n, lam, beta = solved.spec.n_r, solved.lam, solved.beta
-    twol = 2.0 * lam
-    ang = angular_integrals_numeric(solved.params, solved.spec.m, solved.mode)
+    n, twol = solved.spec.n_r, 2.0 * solved.lam
+    log_4b2 = 2.0 * math.log(2.0 * solved.beta)
+    ang = angular_integrals_numeric(solved)
 
     def integrands(x: np.ndarray) -> np.ndarray:
         # rows: w ln rho and the unit-mass radial weight
@@ -382,7 +370,7 @@ def shannon_numeric(solved: SolvedState, target: float = 1e-9) -> float:
             log_x = np.log(x)
             log_rho = 2.0 * log_abs_laguerre(n, twol - 1.0, x)
             log_rho += (twol - 1.0) * log_x - x + solved.log_norm_sq
-            np.exp(log_rho + log_x - math.log(4.0 * beta * beta), out=rows[1])
+            np.exp(log_rho + log_x - log_4b2, out=rows[1])
             np.multiply(rows[1], log_rho, out=rows[0])
         rows[0][rows[1] == 0.0] = 0.0  # 0 (-inf) where a node hits a zero
         return rows
@@ -412,14 +400,13 @@ def wq_numeric(solved: SolvedState, q: float) -> EntropicMoment:
     """
     if not q > 0.0:
         raise ValueError(f"wq_numeric requires q > 0, got {q}")
-    n, lam, beta = solved.spec.n_r, solved.lam, solved.beta
-    twol = 2.0 * lam
-    ang = angular_integrals_numeric(solved.params, solved.spec.m, solved.mode, q=q)
+    n, twol = solved.spec.n_r, 2.0 * solved.lam
+    ang = angular_integrals_numeric(solved, q=q)
     alpha = q * (twol - 1.0) + 1.0
     log_front = (
         math.log(ang.ipow)
         + q * solved.log_norm_sq
-        - math.log(4.0 * beta * beta)
+        - 2.0 * math.log(2.0 * solved.beta)
         - (alpha + 1.0) * math.log(q)
     )
     offset = alpha * (math.log(alpha) - 1.0) if alpha > 1.0 else 0.0
@@ -448,16 +435,12 @@ def wq_numeric(solved: SolvedState, q: float) -> EntropicMoment:
     return EntropicMoment(q, log_front + offset + log_mass)
 
 
-def radial_fd_eigen(
-    params: SystemParams,
-    m: int,
-    count: int,
-) -> list[float]:
-    """Lowest radial eigenvalues by second-order finite differences.
+def radial_fd_eigen(top: SolvedState) -> list[float]:
+    """Radial eigenvalues n = 0..top.spec.n_r by second-order finite differences.
 
-    Takes lambda and the box scale (beta of the highest state asked
-    for) from ``solve_state``, which raises UnboundAngularError for an
-    unbound order; the energies come from the grid alone.  Discretises
+    Takes lambda, the parameters and the box scale (its beta) from
+    ``top``, the solved state of the highest level asked for, at most
+    n_r = 9; the energies come from the grid alone.  Discretises
     the radial operator (second derivative plus the inverse-square and
     Coulomb-like terms) on a uniform Dirichlet grid, solves the
     tridiagonal eigenproblem on 4001 interior points and on the
@@ -465,12 +448,12 @@ def radial_fd_eigen(
     the O(h^2) error.  Energies are returned in the same convention as
     SolvedState.energy (well offset excluded).
     """
-    if count < 1 or count > 10:
-        raise ValueError(f"radial_fd_eigen supports 1 <= count <= 10, got {count}")
-    top = solve_state(params, StateSpec(count - 1, m))
+    top_n, params = top.spec.n_r, top.params
+    if top_n > 9:
+        raise ValueError(f"radial_fd_eigen supports levels up to n_r = 9, got {top_n}")
     c2 = top.lam * (top.lam - 1.0)
     two_mu_a = 2.0 * params.mu * params.A
-    r_max = (40.0 + 10.0 * (count - 1)) / (2.0 * top.beta)
+    r_max = (40.0 + 10.0 * top_n) / (2.0 * top.beta)
 
     def spectrum(points: int) -> np.ndarray:
         h = r_max / (points + 1)
@@ -478,7 +461,7 @@ def radial_fd_eigen(
         diag = 2.0 / (h * h) + c2 / (r * r) + two_mu_a / r
         off = np.full(points - 1, -1.0 / (h * h))
         return eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, count - 1), eigvals_only=True
+            diag, off, select="i", select_range=(0, top_n), eigvals_only=True
         )
 
     coarse = spectrum(4001)

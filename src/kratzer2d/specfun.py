@@ -256,6 +256,10 @@ def _even_seed(nu: float, size: int, K: int) -> np.ndarray:
 
 
 _TAIL_TOL = 1e-12
+# Most rows a characteristic matrix may take: the start K ~ 2 sqrt(b) stays
+# under it up to b ~ 4.4e12, whose solve peaks near 0.8 GB; one order of
+# magnitude more in b would allocate gigabytes.
+_MAX_ROWS = 2**23
 
 
 def mathieu_char_matrix(m_eff: float, b: float, K: int = 25) -> MathieuEvenSolution:
@@ -267,8 +271,9 @@ def mathieu_char_matrix(m_eff: float, b: float, K: int = 25) -> MathieuEvenSolut
     eigenvalue of the same rank.  At integer nu, k = 0 and k = -nu tie at
     nu^2 (a_nu and b_nu, equal to rounding at small b); of that pair the
     vector with the larger overlap on the symmetric seed is kept, signed
-    so the overlap is positive.  Raises TruncationError when the Fourier
-    tail |c_(+-K)| has not decayed below 1e-12 of the largest coefficient.
+    so the overlap is positive.  Raises TruncationError, before any array
+    is built, when 2K + 1 passes _MAX_ROWS, and when the Fourier tail
+    |c_(+-K)| has not decayed below 1e-12 of the largest coefficient.
     """
     m_eff = float(m_eff)
     b = float(b)
@@ -276,6 +281,9 @@ def mathieu_char_matrix(m_eff: float, b: float, K: int = 25) -> MathieuEvenSolut
         raise ValueError("mathieu_char_matrix requires m_eff >= 0 and b >= 0")
     if K < 10:
         raise ValueError(f"mathieu_char_matrix requires K >= 10, got {K}")
+    if 2 * K + 1 > _MAX_ROWS:
+        raise TruncationError(f"truncation K = {K:.6g} takes {2 * K + 1:.6g} rows, "
+                              f"past the limit of {_MAX_ROWS}")
     nu = 2.0 * m_eff
     k = np.arange(-K, K + 1)
     diag = (nu + 2.0 * k) ** 2

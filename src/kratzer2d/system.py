@@ -35,7 +35,6 @@ __all__ = [
     "mathieu_coupling",
     "angular_eigenvalue",
     "solve_state",
-    "profile_key",
     "angular_profile",
     "angular_function",
     "density",
@@ -129,6 +128,17 @@ class SolvedState:
         """Energy including the constant well offset C = De (hartree)."""
         return self.energy + self.params.C
 
+    @property
+    def profile(self) -> _MathieuProfile:
+        """The cached angular profile of the state's angular factor.
+
+        Cosine mode is the b = 0 profile of order m, whatever the
+        parameters; Mathieu mode is the profile of order m + delta at b.
+        """
+        if self.mode is AngularMode.PAPER_COSINE:
+            return angular_profile(float(self.spec.m), 0.0, self.mode)
+        return angular_profile(self.spec.m + self.params.delta, self.b, self.mode)
+
 
 def make_params(
     De: float, re: float, Dm: float = 0.0, delta: float = 0.0, mu: float = 1.0
@@ -210,12 +220,13 @@ def solve_state(
         raise ValueError(f"radial quantum number must be >= 0, got {spec.n_r}")
     lam = 0.5 + math.sqrt(radicand)
     beta = -params.mu * params.A / (spec.n_r + lam)
+    # beta / (2 mu) first: beta^2 underflows below beta ~ 1e-154 where E need not
     return SolvedState(
         spec=spec,
         e_theta=e_theta,
         lam=lam,
         beta=beta,
-        energy=-beta * beta / (2.0 * params.mu),
+        energy=-beta * (beta / (2.0 * params.mu)),
         log_norm_sq=_log_norm_sq(spec.n_r, lam, beta),
         mode=mode,
         method=method,
@@ -331,28 +342,13 @@ def _cos_sin_sums(slots, weights, n: int):
     return cos_sum, sin_sum
 
 
-def profile_key(
-    params: SystemParams, m: int, mode: AngularMode
-) -> tuple[float, float, AngularMode]:
-    """The ``angular_profile`` arguments for the angular factor of order m.
-
-    Cosine mode is the b = 0 profile of order m, whatever the parameters;
-    Mathieu mode is the profile of order m + delta at b = 4 mu Dm.
-    """
-    if m < 0:
-        raise ValueError(f"angular order m must be >= 0, got {m}")
-    if mode is AngularMode.PAPER_COSINE:
-        return float(m), 0.0, mode
-    return m + params.delta, mathieu_coupling(params), mode
-
-
 @lru_cache(maxsize=256)
 def angular_profile(m_eff: float, b: float, mode: AngularMode) -> _MathieuProfile:
     """Evaluatable angular profile of order m_eff at coupling b.
 
-    Take the arguments from ``profile_key``.  ``.value`` / ``.derivative``
-    take any theta; ``._on_grid(n)`` gives both on the uniform n-point
-    grid over one turn.  ``.integrals`` holds the oracle's angular
+    A solved state's ``profile`` picks the arguments.  ``.value`` /
+    ``.derivative`` take any theta; ``._on_grid(n)`` gives both on the
+    uniform n-point grid over one turn.  ``.integrals`` holds the oracle's angular
     integrals of the profile by order q, which go with the profile on
     ``cache_clear()``.  ``mode`` stays in the key: the oracle's entropy
     sum takes a Richardson step in cosine mode only, so at Dm = 0 and
@@ -362,9 +358,9 @@ def angular_profile(m_eff: float, b: float, mode: AngularMode) -> _MathieuProfil
     return _MathieuProfile(m_eff, b)
 
 
-def angular_function(params: SystemParams, m: int, mode: AngularMode, theta):
-    """Angular profile Phi(theta); scalar in, scalar out."""
-    out = angular_profile(*profile_key(params, m, mode)).value(theta)
+def angular_function(solved: SolvedState, theta):
+    """Angular profile Phi(theta) of the solved state; scalar in, scalar out."""
+    out = solved.profile.value(theta)
     return float(out) if np.isscalar(theta) else out
 
 
@@ -393,7 +389,7 @@ def density(solved: SolvedState, r, theta):
     scalar = r.ndim == 0 and np.ndim(theta) == 0
     x = 2.0 * solved.beta * np.atleast_1d(r)
     log_rad = log_radial_density(solved, x)
-    phi = angular_function(solved.params, solved.spec.m, solved.mode, np.atleast_1d(theta))
+    phi = angular_function(solved, np.atleast_1d(theta))
     rad = np.exp(np.where(np.isfinite(log_rad), log_rad, -np.inf))
     out = rad * phi**2
     return float(out[0]) if scalar else out

@@ -238,7 +238,7 @@ def check_spectrum() -> CheckResult:
         for delta in (0.0, 0.2, 0.5):
             params = make_params(De=De, re=1.0, delta=delta, mu=1.0)
             for m in (0, 1, 2):
-                fd = radial_fd_eigen(params, m, count=3)
+                fd = radial_fd_eigen(solve_state(params, StateSpec(2, m)))
                 for n, fd_energy in enumerate(fd):
                     closed = solve_state(params, StateSpec(n, m)).energy
                     dev = abs(fd_energy - closed) / abs(closed)

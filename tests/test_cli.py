@@ -195,12 +195,19 @@ def test_table_writes_output_file(tmp_path, capsys):
         ["compute", "--De", "1", "--re", "1", "--mode", "mathieu", "--method", "series"],
         ["sweep", "--var", "De", "--from", "1", "--to", "2", "--steps", "3",
          "--De", "1", "--deltas", ",", "--measure", "fisher"],
+        ["sweep", "--var", "De", "--from", "1", "--to", "2", "--steps", "3",
+         "--De", "1", "--deltas", "0.1,x", "--measure", "fisher"],
+        ["compute", "--De", "1", "--re", "1", "--n", "1.5"],
+        ["compute", "--De", "1", "--re", "1", "--measure", ","],
+        ["table", "--presets", ","],
+        ["table", "--q", "1"],
     ],
     ids=["no-params", "preset-conflict", "tsallis-q1", "bad-measure",
          "one-step", "reversed-range", "two-measures", "missing-De",
          "negative-n", "negative-m", "units-without-preset", "no-checks",
          "compute-mu-convention", "table-mu-convention", "mathieu-series",
-         "empty-deltas"],
+         "empty-deltas", "bad-delta", "fractional-n", "no-measures", "no-presets",
+         "table-q1"],
 )
 def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -299,6 +306,18 @@ def test_requests_past_the_numeric_range_exit_1(flags, reason):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert reason in proc.stderr
+
+
+def test_energy_and_entropies_at_a_reduced_mass_of_1e_300(capsys):
+    # beta = 1.3e-300 squares to 0, but E = -8.9e-301 is a normal double, and
+    # S and R_2 are the De 1e-150 values plus 300 ln 10.
+    argv = ["compute", "--De", "1", "--re", "1", "--mu", "1e-300", "--m", "1",
+            "--measure", "energy,shannon,renyi"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "energy: E=-8.888888889e-301 E_total=1\n" in out
+    assert "shannon: S=1384.399946 (quadrature)\n" in out
+    assert "renyi: R_2=1383.97672 (W_2=0)\n" in out
 
 
 def test_converted_preset_moment_at_lambda_465(capsys):

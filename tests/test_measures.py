@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from kratzer2d import (
+    AngularMode,
     EntropicMoment,
     StateSpec,
     fisher_closed,
@@ -143,6 +144,22 @@ def test_shannon_closed_vs_numeric_gap_is_large(std_state):
     # known direction of the discrepancy cannot silently flip.
     gap = shannon_numeric(std_state) - shannon_closed(std_state).S
     assert gap == pytest.approx(1.8873430957, rel=1e-6)
+
+
+@pytest.mark.parametrize("mode", list(AngularMode))
+def test_entropies_keep_their_digits_where_beta_squared_is_subnormal(mode):
+    # De 1e-150 and 1e-160 share lambda = 1.5, and beta falls by 1e10, so S
+    # and R_2 rise by exactly 20 ln 10; below beta ~ 7.5e-155 a squared
+    # beta is subnormal and ln 4 beta^2 formed from it loses digits.
+    shallow, deeper = (
+        solve_state(make_params(De=De, re=1.0), StateSpec(0, 1), mode=mode)
+        for De in (1e-150, 1e-160))
+    step = 20.0 * math.log(10.0)
+    pairs = [(shannon_numeric, lambda s: renyi(wq_numeric(s, 2)))]
+    if mode is AngularMode.PAPER_COSINE:
+        pairs.append((lambda s: shannon_closed(s).S, lambda s: renyi(wq_closed(s, 2))))
+    for route in (fn for pair in pairs for fn in pair):
+        assert route(deeper) - route(shallow) == pytest.approx(step, abs=1e-9)
 
 
 # ---------------------------------------------------------- entropic moments

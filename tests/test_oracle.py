@@ -7,6 +7,7 @@ spectrum it is meant to police (agreement here is what licenses using
 it as the arbiter elsewhere).
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ import scipy.special as sps
 from kratzer2d import (
     AccuracyError,
     AngularMode,
+    SolvedState,
     StateSpec,
     UnboundAngularError,
     angular_integrals_numeric,
@@ -30,6 +32,24 @@ from kratzer2d import (
 )
 from kratzer2d import cli, oracle, system
 from kratzer2d.validation import evaluate
+
+
+# ------------------------------------------------------------- boundary
+
+
+def test_every_oracle_route_takes_a_solved_state_first():
+    # Only the system module solves: the oracle reaches the parameters,
+    # the order and the angular profile through the state it is handed.
+    routes = [getattr(oracle, name) for name in oracle.__all__
+              if inspect.isfunction(getattr(oracle, name))]
+    assert len(routes) == 5
+    for fn in routes:
+        first = next(iter(inspect.signature(fn, eval_str=True).parameters.values()))
+        assert first.annotation is SolvedState, fn.__name__
+    assert not hasattr(oracle, "solve_state")
+    held = {name for name in system.__all__
+            if getattr(oracle, name, None) is getattr(system, name)}
+    assert held == {"ANGULAR_GRID", "AngularMode", "SolvedState"}
 
 
 # -------------------------------------------------------- quadrature rules
@@ -114,7 +134,7 @@ def test_rule_weights_match_mpmath_to_relative_precision():
 
 
 def test_angular_integrals_cosine_m2(std_params):
-    ints = angular_integrals_numeric(std_params, 2, AngularMode.PAPER_COSINE, q=2.0)
+    ints = angular_integrals_numeric(solve_state(std_params, StateSpec(0, 2)), q=2.0)
     assert ints.i2norm == pytest.approx(math.pi, rel=1e-12)
     assert ints.ideriv == pytest.approx(4.0 * math.pi, rel=1e-12)
     # x ln x cusps at the cosine zeros cost the trapezoid its spectral
@@ -124,11 +144,11 @@ def test_angular_integrals_cosine_m2(std_params):
     assert ints.ipow == pytest.approx(0.75 * math.pi, rel=1e-12)
 
 
-def test_angular_integrals_cosine_m0(std_params):
+def test_angular_integrals_cosine_m0(std_state):
     # The flat m = 0 branch: constant 1/sqrt(2).  Note ipow = pi/2 and
     # ilog = -pi ln 2 differ from the cosine-power constants the closed
     # forms use at m = 0; the measures tests quantify that gap.
-    ints = angular_integrals_numeric(std_params, 0, AngularMode.PAPER_COSINE, q=2.0)
+    ints = angular_integrals_numeric(std_state, q=2.0)
     assert ints.i2norm == pytest.approx(math.pi, rel=1e-12)
     assert ints.ideriv == pytest.approx(0.0, abs=1e-15)
     assert ints.ilog == pytest.approx(-math.pi * math.log(2.0), rel=1e-12)
@@ -139,7 +159,8 @@ def test_angular_integrals_mathieu_integer_order_near_cosine():
     # At delta = 0 (integer order) the b = 0.4 coupling moves every
     # integral less than 0.05% off the analytic cosine values.
     p = make_params(De=3.0, re=1.0, Dm=0.1)
-    ints = angular_integrals_numeric(p, 2, AngularMode.MATHIEU_NUMERIC, q=2.0)
+    state = solve_state(p, StateSpec(0, 2), mode=AngularMode.MATHIEU_NUMERIC)
+    ints = angular_integrals_numeric(state, q=2.0)
     refs = (
         math.pi,
         4.0 * math.pi,
@@ -154,18 +175,20 @@ def test_angular_integrals_mathieu_integer_order_near_cosine():
 
 
 def test_angular_integrals_mathieu_flux_shifts_baseline(dipole_params):
+    mathieu = AngularMode.MATHIEU_NUMERIC
     # With flux the base frequency is m + delta, so the derivative
     # integral sits near (m + delta)^2-scaled values, NOT near the
     # integer-m constants (15.8% off 4 pi here); the coupling itself
     # only moves the integrals ~0.1% from their b = 0 baseline.
-    ints = angular_integrals_numeric(dipole_params, 2, AngularMode.MATHIEU_NUMERIC, q=2.0)
+    ints = angular_integrals_numeric(
+        solve_state(dipole_params, StateSpec(2, 2), mode=mathieu), q=2.0)
     assert ints.i2norm == pytest.approx(math.pi, rel=1e-12)
     assert ints.ideriv == pytest.approx(14.5520025484, rel=1e-9)
     assert ints.ilog == pytest.approx(-1.2685465023, rel=1e-9)
     assert ints.ipow == pytest.approx(2.3097471846, rel=1e-9)
     assert abs(ints.ideriv - 4.0 * math.pi) / (4.0 * math.pi) > 0.1
     b0 = make_params(De=3.0, re=1.0, Dm=0.0, delta=0.2)
-    ints0 = angular_integrals_numeric(b0, 2, AngularMode.MATHIEU_NUMERIC, q=2.0)
+    ints0 = angular_integrals_numeric(solve_state(b0, StateSpec(2, 2), mode=mathieu), q=2.0)
     assert ints.ideriv == pytest.approx(ints0.ideriv, rel=2e-3)
 
 
@@ -214,10 +237,9 @@ def test_mathieu_profile_samples_one_grid_per_order(dipole_params, grids, q, exp
     # Building the profile samples no grid; Fisher's q = 2 sums fix the
     # scale from their own grid, and only a further order takes another.
     system.angular_profile.cache_clear()
-    mathieu = AngularMode.MATHIEU_NUMERIC
-    system.angular_profile(*system.profile_key(dipole_params, 2, mathieu))
+    state = solve_state(dipole_params, StateSpec(2, 2), mode=AngularMode.MATHIEU_NUMERIC)
+    assert state.profile is state.profile
     assert grids == []
-    state = solve_state(dipole_params, StateSpec(2, 2), mode=mathieu)
     for measure in ("fisher", "wq", "tsallis", "renyi"):
         evaluate(state, [measure], q)
     assert grids == [system.ANGULAR_GRID] * expected
@@ -233,10 +255,11 @@ def test_cosine_profile_is_shared_by_parameter_sets_of_equal_m(std_params, dipol
     system.angular_profile.cache_clear()
     alone = evaluate(state, measures, 3)
     system.angular_profile.cache_clear()
-    profile = system.angular_profile(*system.profile_key(std_params, 2, cosine))
-    assert system.angular_profile(*system.profile_key(dipole_params, 2, cosine)) is profile
-    assert system.angular_profile(*system.profile_key(dipole_params, 1, cosine)) is not profile
-    evaluate(solve_state(std_params, StateSpec(0, 2), mode=cosine), measures, 3)
+    std = solve_state(std_params, StateSpec(0, 2), mode=cosine)
+    profile = std.profile
+    assert state.profile is profile
+    assert solve_state(dipole_params, StateSpec(2, 1), mode=cosine).profile is not profile
+    evaluate(std, measures, 3)
     sums = dict(profile.integrals)
     assert sums
     assert evaluate(state, measures, 3) == alone
@@ -524,7 +547,7 @@ def test_fd_spectrum_frozen():
     # after Richardson extrapolation; they match the closed spectrum to
     # better than 1e-8 relative.
     p = make_params(De=3.0, re=1.0, delta=0.2)
-    fd = radial_fd_eigen(p, 2, count=3)
+    fd = radial_fd_eigen(solve_state(p, StateSpec(2, 2)))
     assert fd == pytest.approx(
         [-1.2515282963, -0.7837247681, -0.5364794453], rel=1e-8
     )
@@ -533,21 +556,22 @@ def test_fd_spectrum_frozen():
         assert fd_energy == pytest.approx(closed, rel=1e-8)
 
 
-def test_fd_pins_dipole_chain(dipole_params, dipole_state):
+def test_fd_pins_dipole_chain(dipole_state):
     # The arbiter test for the radial exponent with flux + dipole: the
     # FD solver takes lambda from the chain but finds its energies on its
     # own grid, knowing nothing of E = -beta^2 / 2 mu, and lands on the
     # same E(n=2).
-    fd = radial_fd_eigen(dipole_params, 2, count=3)
+    fd = radial_fd_eigen(dipole_state)
     assert fd[2] == pytest.approx(dipole_state.energy, rel=1e-8)
     assert fd[2] == pytest.approx(-0.5364487980, rel=1e-8)
 
 
-def test_fd_rejects_bad_count(std_params):
+def test_fd_rejects_bad_count():
+    # Ten levels at most: the highest state asked for may be n_r = 9.
+    p = make_params(De=3.0, re=1.0)
+    assert len(radial_fd_eigen(solve_state(p, StateSpec(9, 0)))) == 10
     with pytest.raises(ValueError):
-        radial_fd_eigen(std_params, 0, count=0)
-    with pytest.raises(ValueError):
-        radial_fd_eigen(std_params, 0, count=11)
+        radial_fd_eigen(solve_state(p, StateSpec(10, 0)))
 
 
 @pytest.mark.parametrize(
@@ -558,8 +582,7 @@ def test_fd_rejects_bad_count(std_params):
     ids=["negative", "nan"],
 )
 def test_fd_spectrum_refuses_an_unbound_order_as_the_chain_does(params):
-    with pytest.raises(UnboundAngularError) as chain:
+    # The spectrum takes a solved state, so an unbound order stops here,
+    # before it can reach the finite-difference grid.
+    with pytest.raises(UnboundAngularError):
         solve_state(params, StateSpec(0, 0))
-    with pytest.raises(UnboundAngularError) as fd:
-        radial_fd_eigen(params, 0, count=1)
-    assert str(fd.value) == str(chain.value)

@@ -289,6 +289,16 @@ def test_mathieu_matrix_truncation_error():
         mathieu_char_matrix(0.2, 500.0, K=10)
 
 
+def test_mathieu_matrix_refuses_a_truncation_past_its_row_limit():
+    # 2K + 1 rows past 2^23 are refused before any array is built: a
+    # 2^23 + 1 row solve would hold about 0.8 GB, and the start K of
+    # b = 1e40 would ask numpy for 8e20 rows.
+    with pytest.raises(TruncationError, match="past the limit of 8388608"):
+        mathieu_char_matrix(0.3, 1.0, K=2**22)
+    with pytest.raises(TruncationError):
+        mathieu_even_solution(0.3, 1e40)
+
+
 def test_mathieu_matrix_rejects_bad_arguments():
     with pytest.raises(ValueError):
         mathieu_char_matrix(2.2, 0.4, K=5)

@@ -36,7 +36,6 @@ from kratzer2d.system import (
     _MathieuProfile,
     angular_profile,
     mathieu_coupling,
-    profile_key,
 )
 
 
@@ -215,37 +214,39 @@ def test_unbound_angular_error():
 # ------------------------------------------------------------ angular modes
 
 
-def test_cosine_profile_values(std_params):
+def test_cosine_profile_values(std_state, std_params):
     # m = 0 is the flat normalized branch, m >= 1 the plain cosine.
     for theta in (0.0, 0.9, 2.4):
-        assert angular_function(std_params, 0, AngularMode.PAPER_COSINE, theta) == (
+        assert angular_function(std_state, theta) == (
             pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15, abs=0)
         )
-    assert angular_function(std_params, 2, AngularMode.PAPER_COSINE, 0.0) == 1.0
+    m2 = solve_state(std_params, StateSpec(0, 2))
+    assert angular_function(m2, 0.0) == 1.0
     theta = np.linspace(0.0, 2.0 * math.pi, 7)
-    vals = angular_function(std_params, 2, AngularMode.PAPER_COSINE, theta)
+    vals = angular_function(m2, theta)
     assert np.allclose(vals, np.cos(2.0 * theta), atol=1e-15)
 
 
 @pytest.mark.parametrize("mode", list(AngularMode))
 def test_angular_function_keeps_the_shape_of_theta(dipole_params, mode):
+    state = solve_state(dipole_params, StateSpec(2, 2), mode=mode)
     theta = np.linspace(0.0, 2.0 * math.pi, 12).reshape(4, 3)
-    flat = angular_function(dipole_params, 2, mode, theta.ravel())
-    mesh = angular_function(dipole_params, 2, mode, theta)
+    flat = angular_function(state, theta.ravel())
+    mesh = angular_function(state, theta)
     assert mesh.shape == (4, 3)
     np.testing.assert_allclose(mesh.ravel(), flat, rtol=1e-14, atol=1e-15)
-    one = angular_function(dipole_params, 2, mode, 0.3)
+    one = angular_function(state, 0.3)
     assert isinstance(one, float)
-    assert one == pytest.approx(
-        angular_function(dipole_params, 2, mode, np.array([0.3]))[0], rel=1e-14)
+    assert one == pytest.approx(angular_function(state, np.array([0.3]))[0], rel=1e-14)
 
 
 def test_mathieu_profile_zero_coupling_is_shifted_cosine():
     # At b = 0 the even solution is a pure cos((m + delta) theta), up
     # to the normalization that fixes the squared integral at pi.
-    p = make_params(De=1.0, re=1.0, delta=0.2)
+    state = solve_state(make_params(De=1.0, re=1.0, delta=0.2), StateSpec(0, 1),
+                        mode=AngularMode.MATHIEU_NUMERIC)
     theta = np.array([0.1, 0.7, 1.9, 3.0])
-    vals = angular_function(p, 1, AngularMode.MATHIEU_NUMERIC, theta)
+    vals = angular_function(state, theta)
     ratios = vals / np.cos(1.2 * theta)
     assert np.ptp(ratios) <= 1e-12
     assert ratios[0] == pytest.approx(0.98101038, rel=1e-6)
@@ -262,8 +263,9 @@ def test_mathieu_profile_zero_coupling_is_shifted_cosine():
     (5.0, 0.7, 3, 31),    # wrapped and odd
 ])
 def test_mathieu_profile_grid_matches_pointwise(Dm, delta, m, n):
-    params = make_params(De=3.0, re=1.0, Dm=Dm, delta=delta)
-    profile = angular_profile(*profile_key(params, m, AngularMode.MATHIEU_NUMERIC))
+    # Some of these orders bind no state at De 3 (m 0 at Dm 5), so the
+    # profile is named by its order and coupling, not by a solved state.
+    profile = angular_profile(m + delta, 4.0 * Dm, AngularMode.MATHIEU_NUMERIC)
     if n < 64:
         assert profile.k.size > n
     theta = 2.0 * math.pi * np.arange(n) / n
@@ -278,8 +280,7 @@ def test_cosine_profile_grid_is_scaled_cosine(m):
     # Cosine mode is the b = 0 profile: one coefficient at integer order,
     # so the grid is scale * cos(m theta) up to the real DFT's rounding.
     # The reference reduces m j mod n exactly before the cosine.
-    profile = angular_profile(*profile_key(make_params(De=1.0, re=1.0), m,
-                                           AngularMode.PAPER_COSINE))
+    profile = solve_state(make_params(De=1.0, re=1.0), StateSpec(0, m)).profile
     phi, dphi = profile._on_grid(ANGULAR_GRID)
     theta = 2.0 * math.pi * (m * np.arange(ANGULAR_GRID) % ANGULAR_GRID) / ANGULAR_GRID
     ref = profile.scale * np.cos(theta)
@@ -300,12 +301,13 @@ def test_mathieu_profile_scale_does_not_depend_on_the_first_caller(dipole_params
         "derivative": lambda profile: profile.derivative(theta),
         "grid32": lambda profile: profile._on_grid(32),
     }
+    state = solve_state(dipole_params, StateSpec(2, 2), mode=mathieu)
     angular_profile.cache_clear()
-    fresh = angular_profile(*profile_key(dipole_params, 2, mathieu))
+    fresh = state.profile
     early = calls[first](fresh)
     angular_profile.cache_clear()
-    angular_integrals_numeric(dipole_params, 2, mathieu)
-    sampled = angular_profile(*profile_key(dipole_params, 2, mathieu))
+    angular_integrals_numeric(state)
+    sampled = state.profile
     assert sampled is not fresh
     np.testing.assert_array_equal(calls[first](sampled), early)
     assert fresh.scale == sampled.scale
@@ -418,4 +420,6 @@ def test_no_public_function_takes_both_params_and_a_solved_state():
             assert not {SystemParams, SolvedState} <= kinds, f"{info.name}.{name}"
             if SolvedState in kinds:
                 takes_state.append(name)
-    assert {"fisher_closed", "shannon_numeric", "evaluate", "density"} <= set(takes_state)
+    assert {"fisher_closed", "shannon_numeric", "evaluate", "density",
+            "angular_integrals_numeric", "angular_function", "radial_fd_eigen"
+            } <= set(takes_state)

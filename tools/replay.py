@@ -46,6 +46,14 @@ EXTRA = (
     ("table", "--tables", "1", "--format", "csv"),
     ("table", "--tables", "2", "--format", "csv"),
     ("table", "--units", "converted"),
+    # extreme scales: beta^2 subnormal, mu at 1e-300, a coupling past the matrix limit
+    ("compute", "--De", "1e-160", "--re", "1", "--m", "1", "--measure", "shannon,renyi"),
+    ("compute", "--De", "1e-160", "--re", "1", "--m", "1", "--measure", "shannon,renyi",
+     "--mode", "mathieu"),
+    ("compute", "--De", "1", "--re", "1", "--mu", "1e-300", "--m", "1",
+     "--measure", "energy,shannon,renyi"),
+    ("compute", "--De", "1", "--re", "1", "--D", "1e40", "--method", "matrix",
+     "--measure", "energy"),
 )
 
 
