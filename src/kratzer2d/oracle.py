@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .measures import EntropicMoment, FisherResult
-from .system import ANGULAR_GRID, AngularMode, SolvedState
+from .system import ANGULAR_GRID, SolvedState
 from .specfun import _laguerre_scaled, eigh_tridiagonal, log_abs_laguerre
 
 __all__ = [
@@ -75,12 +75,21 @@ class AngularIntegrals:
     ipow: float     # integral of |Phi|^2q
 
 
+# Rows of the dense Jacobi matrix at most: 512 MiB.  Fisher's doubled rule
+# has 2 (n + 6) rows, so it refuses past n = 4090.
+_MAX_JACOBI_ROWS = 2**13
+
+
 def _laguerre_roots(n: int, alpha: float) -> np.ndarray:
     """Zeros of L_n^(alpha), ascending: the eigenvalues of its Jacobi matrix.
 
     numpy's dense symmetric eigensolver reads the lower triangle, so only
     the diagonal and the subdiagonal (flat indices n, 2n + 1, ...) are set.
+    More than _MAX_JACOBI_ROWS rows raise ValueError before any allocation.
     """
+    if n > _MAX_JACOBI_ROWS:
+        raise ValueError(f"the Laguerre zeros would take a {n}-row Jacobi matrix, "
+                         f"past its limit of {_MAX_JACOBI_ROWS}")
     i = np.arange(n, dtype=float)
     jacobi = np.diag(2.0 * i + alpha + 1.0)
     jacobi.flat[n::n + 1] = np.sqrt(i[1:] * (i[1:] + alpha))
@@ -110,17 +119,19 @@ def angular_integrals_numeric(solved: SolvedState, q: float = 2.0) -> AngularInt
     integrals only for a 2 pi-periodic profile.  The Mathieu profile at
     non-integer m + delta carries e^(i (m + delta) theta), which is not
     2 pi-periodic, and its sums sit about 1e-4 relative off the exact
-    integrals.  For the cosine profile the entropy integrand
-    Phi^2 ln Phi^2 has log cusps at the zeros of cos m theta, which leave
-    the trapezoid sum an O(h^3) error; one Richardson step against the
-    half grid (every other node) removes it.
+    integrals.  Where the profile is the single cosine cos m theta of
+    integer m, the entropy integrand Phi^2 ln Phi^2 has log cusps at its
+    zeros, which leave the trapezoid sum an O(h^3) error; one Richardson
+    step against the half grid (every other node) removes it.  At b > 0
+    a profile of integer order keeps the plain sum, the closer one there.
 
     The result is stored on the cached profile under float(q) and
     returned from there on later calls, so each (profile, q) takes one
     grid; Fisher and Shannon use only some of the four sums, but taking
     them apart would cost more grids than the unused sums do.  A profile
     depends on (m + delta, b) alone (on m alone in cosine mode), so states
-    that differ only in De, re or mu share it and its sums.  It fixes its
+    that differ only in De, re or mu share it and its sums, and so do the
+    two modes where they name the same function.  It fixes its
     pi-normalisation from the first of these grids, so a profile asked
     for k orders samples exactly k grids.
     """
@@ -134,7 +145,7 @@ def angular_integrals_numeric(solved: SolvedState, q: float = 2.0) -> AngularInt
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(phi_sq > 1e-300, phi_sq * np.log(phi_sq), 0.0)
     ilog = h * float(np.sum(plogp))
-    if solved.mode is AngularMode.PAPER_COSINE:
+    if profile.freqs.size == 1 and float(profile.carrier).is_integer():
         ilog = (8.0 * ilog - 2.0 * h * float(np.sum(plogp[::2]))) / 7.0
     profile.integrals[key] = AngularIntegrals(
         i2norm=h * float(np.sum(phi_sq)),
@@ -301,16 +312,13 @@ def fisher_numeric(solved: SolvedState) -> FisherResult:
 
     def parts(K: int) -> tuple[float, float]:
         nodes, log_w, log_mass = _log_gauss_laguerre(twol - 2.0, K)
-        # L_n = ln 2^e and L_{n-1} = lnm1 2^e: the squares' 2^(2e) joins the
-        # unit-mass weights in log space, where neither over- nor underflows
-        ln, e = _laguerre_scaled(n, twol - 1.0, nodes)
-        lnm1 = 0.0
-        if n:
-            mantissa, e_prev = _laguerre_scaled(n - 1, twol, nodes)
-            lnm1 = np.ldexp(mantissa, np.asarray(e_prev - e, dtype=np.int32))
+        # L_n = ln 2^e, L_{n-1} = lnm1 2^e (order 2 lam - 1): the squares' 2^(2e)
+        # joins the unit-mass weights in log space, where neither over- nor underflows
+        ln, lnm1, e = _laguerre_scaled(n, twol - 1.0, nodes)
         weights = np.exp(log_w + 2.0 * math.log(2.0) * e) / np.exp(log_w).sum()
-        # x * d/dx ln(radial density) recombined into a polynomial square
-        poly = ((twol - 1.0 - nodes) * ln - 2.0 * nodes * lnm1) ** 2
+        # x * d/dx ln(radial density) recombined into a polynomial square, with
+        # x L_{n-1}^(2 lam) = (n + 2 lam - 1) L_{n-1} - n L_n (DLMF 18.9)
+        poly = ((twol - 1.0 + 2.0 * n - nodes) * ln - 2.0 * (n + twol - 1.0) * lnm1) ** 2
         scale = math.exp(solved.log_norm_sq + log_mass)
         return scale * float(weights @ poly), scale * float(weights @ (ln * ln))
 
@@ -443,10 +451,11 @@ def radial_fd_eigen(top: SolvedState) -> list[float]:
     n_r = 9; the energies come from the grid alone.  Discretises
     the radial operator (second derivative plus the inverse-square and
     Coulomb-like terms) on a uniform Dirichlet grid, solves the
-    tridiagonal eigenproblem on 4001 interior points and on the
-    half-spacing refinement (8003 points), and Richardson-extrapolates
-    the O(h^2) error.  Energies are returned in the same convention as
-    SolvedState.energy (well offset excluded).
+    tridiagonal eigenproblem on 2001, 4001 and 8003 interior points, and
+    Richardson-extrapolates the O(h^2) error of the finer two; its
+    distance from the coarser two's extrapolation is the error estimate,
+    gated at 5e-5 relative.  Energies are returned in the same convention
+    as SolvedState.energy (well offset excluded).
     """
     top_n, params = top.spec.n_r, top.params
     if top_n > 9:
@@ -464,10 +473,9 @@ def radial_fd_eigen(top: SolvedState) -> list[float]:
             diag, off, select="i", select_range=(0, top_n), eigvals_only=True
         )
 
-    coarse = spectrum(4001)
-    fine = spectrum(8003)
-    extrap = (4.0 * fine - coarse) / 3.0
-    resid = float(np.max(np.abs(fine - extrap) / np.abs(extrap)))
+    coarse, mid, fine = (spectrum(points) for points in (2001, 4001, 8003))
+    extrap = (4.0 * fine - mid) / 3.0
+    resid = float(np.max(np.abs(extrap - (4.0 * mid - coarse) / 3.0) / np.abs(extrap)))
     if not resid <= 5e-5:
         raise AccuracyError("finite-difference spectrum not grid-converged", resid)
     return [float(e) / (2.0 * params.mu) for e in extrap]

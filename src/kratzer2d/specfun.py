@@ -104,7 +104,8 @@ _RESCALE_STEPS = 8
 
 
 def _laguerre_scaled(n: int, alpha: float, x):
-    """(mantissa, exponent) with L_n^(alpha)(x) = mantissa * 2^exponent.
+    """(mantissa, previous, exponent) with L_n^(alpha)(x) = mantissa * 2^exponent
+    and L_(n-1)^(alpha)(x) = previous * 2^exponent (0 at n = 0).
 
     The upward three-term recurrence
     (k + 1) L_{k+1} = (2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1},
@@ -128,7 +129,7 @@ def _laguerre_scaled(n: int, alpha: float, x):
     exponent = 0.0
     prev = np.ones_like(xa)
     if n == 0:
-        return prev, exponent
+        return prev, np.zeros_like(xa), exponent
     cur = np.subtract(1.0 + alpha, xa, out=np.empty_like(xa))
     nxt = np.empty_like(xa)
     for k in range(1, n):
@@ -143,7 +144,7 @@ def _laguerre_scaled(n: int, alpha: float, x):
             np.ldexp(cur, -e, out=cur)
             np.ldexp(prev, -e, out=prev)
             exponent = exponent + e
-    return cur, exponent
+    return cur, prev, exponent
 
 
 def laguerre(n: int, alpha: float, x):
@@ -154,7 +155,7 @@ def laguerre(n: int, alpha: float, x):
     recurrence's to the bit wherever that stays finite, and is inf only
     where |L_n| itself passes the double range.
     """
-    mantissa, exponent = _laguerre_scaled(n, alpha, x)
+    mantissa, _, exponent = _laguerre_scaled(n, alpha, x)
     out = np.ldexp(mantissa, np.asarray(exponent, dtype=np.int32))
     return float(out) if np.isscalar(x) else out
 
@@ -166,7 +167,7 @@ def log_abs_laguerre(n: int, alpha: float, x):
     and -inf (without a numpy warning) at its zeros.  ``x`` may be a
     scalar or ndarray; the return type matches.
     """
-    out, exponent = _laguerre_scaled(n, alpha, x)
+    out, _, exponent = _laguerre_scaled(n, alpha, x)
     np.abs(out, out=out)
     with np.errstate(divide="ignore"):
         np.log(out, out=out)

@@ -136,8 +136,8 @@ class SolvedState:
         parameters; Mathieu mode is the profile of order m + delta at b.
         """
         if self.mode is AngularMode.PAPER_COSINE:
-            return angular_profile(float(self.spec.m), 0.0, self.mode)
-        return angular_profile(self.spec.m + self.params.delta, self.b, self.mode)
+            return angular_profile(float(self.spec.m), 0.0)
+        return angular_profile(self.spec.m + self.params.delta, self.b)
 
 
 def make_params(
@@ -343,17 +343,14 @@ def _cos_sin_sums(slots, weights, n: int):
 
 
 @lru_cache(maxsize=256)
-def angular_profile(m_eff: float, b: float, mode: AngularMode) -> _MathieuProfile:
+def angular_profile(m_eff: float, b: float) -> _MathieuProfile:
     """Evaluatable angular profile of order m_eff at coupling b.
 
     A solved state's ``profile`` picks the arguments.  ``.value`` /
     ``.derivative`` take any theta; ``._on_grid(n)`` gives both on the
     uniform n-point grid over one turn.  ``.integrals`` holds the oracle's angular
     integrals of the profile by order q, which go with the profile on
-    ``cache_clear()``.  ``mode`` stays in the key: the oracle's entropy
-    sum takes a Richardson step in cosine mode only, so at Dm = 0 and
-    integer m + delta, where both modes name the same function, they
-    must not share those integrals.
+    ``cache_clear()``.
     """
     return _MathieuProfile(m_eff, b)
 

@@ -281,8 +281,8 @@ def test_nan_radicand_exits_1(capsys):
 
 
 def _limited_memory():
-    # 1 GB of address space: a layout past the panel limit fails with
-    # MemoryError instead of taking the machine's memory.
+    # 1 GB of address space: a layout past the panel or row limit fails
+    # with MemoryError instead of taking the machine's memory.
     import resource
 
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -294,11 +294,17 @@ def _limited_memory():
     (["--De", "1e30", "--measure", "renyi,wq"], "ln W_q"),
     (["--De", "1e30", "--measure", "renyi"], "ln W_q"),
     (["--De", "1e300", "--measure", "wq"], "ln W_q"),
-], ids=["shannon-1e14", "shannon-1e300", "renyi-wq-1e30", "renyi-1e30", "wq-1e300"])
+    (["--De", "1", "--n", "100000", "--measure", "shannon"], "limit of 8192"),
+    (["--De", "1", "--n", "100000", "--mode", "mathieu", "--measure", "fisher"],
+     "limit of 8192"),
+], ids=["shannon-1e14", "shannon-1e300", "renyi-wq-1e30", "renyi-1e30", "wq-1e300",
+        "shannon-n1e5", "mathieu-fisher-n1e5"])
 def test_requests_past_the_numeric_range_exit_1(flags, reason):
     # Shannon's panel rule would lay out 7.1e6 panels at De 1e14 (and
     # overflow its count at 1e300); the W_q closed form's cancelling
-    # terms round off past 1e-10 of ln W_q at both larger depths.
+    # terms round off past 1e-10 of ln W_q at both larger depths.  At
+    # n = 1e5 the Laguerre zeros would take a 74.5 GiB Jacobi matrix
+    # (Shannon's n rows, Fisher's 2 (n + 6)).
     argv = [sys.executable, "-m", "kratzer2d.cli", "compute", "--re", "1"] + flags
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
                           preexec_fn=_limited_memory)
@@ -360,7 +366,7 @@ def test_unsettled_fisher_quadrature_exits_1(monkeypatch, capsys):
     # A recurrence that returns NaN makes Fisher's drift NaN; the gate
     # must refuse it.
     monkeypatch.setattr(kratzer2d.oracle, "_laguerre_scaled",
-                        lambda n, alpha, x: (np.full_like(x, np.nan), 0.0))
+                        lambda n, alpha, x: (np.full_like(x, np.nan),) * 2 + (0.0,))
     code = main(["compute", "--De", "3", "--re", "1", "--delta", "0.2", "--n", "2",
                  "--m", "1", "--mode", "mathieu", "--method", "matrix",
                  "--measure", "fisher"])

@@ -49,7 +49,7 @@ def test_every_oracle_route_takes_a_solved_state_first():
     assert not hasattr(oracle, "solve_state")
     held = {name for name in system.__all__
             if getattr(oracle, name, None) is getattr(system, name)}
-    assert held == {"ANGULAR_GRID", "AngularMode", "SolvedState"}
+    assert held == {"ANGULAR_GRID", "SolvedState"}
 
 
 # -------------------------------------------------------- quadrature rules
@@ -267,22 +267,47 @@ def test_cosine_profile_is_shared_by_parameter_sets_of_equal_m(std_params, dipol
 
 
 @pytest.mark.parametrize("first", list(AngularMode))
-def test_modes_keep_apart_sums_where_their_profiles_agree(first):
-    # At Dm = 0 and integer m + delta both modes name cos(m theta), but the
-    # cosine entropy sum takes a Richardson step and the Mathieu one does
-    # not; each mode's Shannon entropy is what it is alone, whichever ran
-    # first.
+def test_modes_share_sums_where_their_profiles_agree(first, grids):
+    # At Dm = 0 and integer m + delta both modes name cos(m theta): they
+    # share one profile, so one grid serves both, and each mode's Shannon
+    # entropy is the same whichever mode ran first.
     params = make_params(De=3.0, re=1.0)
     states = {mode: solve_state(params, StateSpec(1, 2), mode=mode) for mode in AngularMode}
-    alone = {}
-    for mode in AngularMode:
-        system.angular_profile.cache_clear()
-        alone[mode] = evaluate(states[mode], ["shannon"])
-    assert alone[AngularMode.PAPER_COSINE][1] != alone[AngularMode.MATHIEU_NUMERIC][1]
     system.angular_profile.cache_clear()
+    assert states[AngularMode.PAPER_COSINE].profile is states[AngularMode.MATHIEU_NUMERIC].profile
     second = next(mode for mode in AngularMode if mode is not first)
-    for mode in (first, second):
-        assert evaluate(states[mode], ["shannon"]) == alone[mode]
+    shared = [evaluate(states[mode], ["shannon"])[1] for mode in (first, second)]
+    assert shared[0] == shared[1]
+    assert grids == [system.ANGULAR_GRID]
+    assert system.angular_profile.cache_info().misses == 1
+
+
+def _entropy_sums(profile, n):
+    """Plain and half-grid Richardson trapezoid sums of Phi^2 ln Phi^2 on n nodes."""
+    phi_sq = profile._on_grid(n)[0] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(phi_sq > 1e-300, phi_sq * np.log(phi_sq), 0.0)
+    h = 2.0 * math.pi / n
+    plain = h * float(np.sum(plogp))
+    return plain, (8.0 * plain - 2.0 * h * float(np.sum(plogp[::2]))) / 7.0
+
+
+@pytest.mark.parametrize("Dm, richardson", [(0.0, True), (0.3, False)], ids=["b0", "b1.2"])
+def test_richardson_step_only_for_a_single_cosine(Dm, richardson):
+    # At integer m + delta = 2 the Mathieu profile is 2 pi-periodic at any
+    # b, but only at b = 0 is it the single cosine whose log cusps the
+    # Richardson step removes (8.8e-10 -> 1e-15 off the 2^20-node sum).  At
+    # b = 1.2 the step would move the sum away from that reference (1.2e-11
+    # -> 6e-10), so the entropy integral stays the plain sum there.
+    state = solve_state(make_params(De=3.0, re=1.0, Dm=Dm), StateSpec(1, 2),
+                        mode=AngularMode.MATHIEU_NUMERIC)
+    system.angular_profile.cache_clear()
+    ilog = angular_integrals_numeric(state).ilog
+    plain, extrapolated = _entropy_sums(state.profile, system.ANGULAR_GRID)
+    reference = _entropy_sums(state.profile, 2**20)[0]
+    chosen, other = (extrapolated, plain) if richardson else (plain, extrapolated)
+    assert ilog == chosen
+    assert abs(chosen - reference) < abs(other - reference) / 10.0
 
 
 def test_cache_clear_drops_cosine_profiles(std_params, grids):
@@ -572,6 +597,23 @@ def test_fd_rejects_bad_count():
     assert len(radial_fd_eigen(solve_state(p, StateSpec(9, 0)))) == 10
     with pytest.raises(ValueError):
         radial_fd_eigen(solve_state(p, StateSpec(10, 0)))
+
+
+def test_fd_spectrum_answers_a_shallow_well_at_n_r_9():
+    # At De 1, m 0 the extrapolated levels sit within 7.5e-7 of the chain
+    # and their estimate reads 1.5e-5; the fine grid's own error (2.3e-4)
+    # no longer stands in for it.
+    p = make_params(De=1.0, re=1.0)
+    fd = radial_fd_eigen(solve_state(p, StateSpec(9, 0)))
+    for n, fd_energy in enumerate(fd):
+        assert fd_energy == pytest.approx(solve_state(p, StateSpec(n, 0)).energy, rel=2e-6)
+
+
+def test_fd_spectrum_refuses_a_well_too_shallow_for_its_grid():
+    # At De 0.3 (lambda 1.27) the extrapolated levels really are 2.5e-3 off,
+    # and the estimate (5.2e-3) says so.
+    with pytest.raises(AccuracyError, match="grid-converged"):
+        radial_fd_eigen(solve_state(make_params(De=0.3, re=1.0), StateSpec(9, 0)))
 
 
 @pytest.mark.parametrize(

@@ -215,6 +215,15 @@ def test_panel_cuts_refuse_a_layout_past_the_limit():
             oracle._panel_cuts(np.array([]), upper)
 
 
+def test_laguerre_roots_refuse_a_matrix_past_the_row_limit():
+    # 2^13 rows is the largest dense Jacobi matrix (512 MiB); one more row
+    # raises before any array exists.
+    limit = oracle._MAX_JACOBI_ROWS
+    for n in (limit + 1, 100_000):
+        with pytest.raises(ValueError, match=f"limit of {limit}"):
+            oracle._laguerre_roots(n, 1.0)
+
+
 # ------------------------------------------------------------------- roots
 
 

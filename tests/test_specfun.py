@@ -23,6 +23,7 @@ import scipy.special as sps
 from kratzer2d.oracle import _log_gauss_laguerre
 from kratzer2d.specfun import (
     SeriesSingularError,
+    _laguerre_scaled,
     TruncationError,
     ValidityWarning,
     digamma,
@@ -139,6 +140,45 @@ def test_log_abs_laguerre_matches_mpmath_at_large_degree(n, alpha):
                for v in x]
     for got, want in zip(ours, ref):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+LAGUERRE_PAIR_X = np.linspace(0.37, 2500.0, 23)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 60, 300])
+@pytest.mark.parametrize("alpha", [-0.9, 0.3, 2.9, 80.0])
+def test_laguerre_scaled_previous_term_matches_mpmath(n, alpha):
+    # previous * 2^exponent is L_(n-1) (0 at n = 0), on L_n's power of two,
+    # also at n = 300, where |L_n| passes 10^308 towards x = 2500.  The
+    # error is measured against |L_(n-1)| + |L_n|, the size of the pair the
+    # recurrence carries, so that points near a zero of L_(n-1) count
+    # fairly.  Reference: mpmath at 40 digits.
+    mpmath = pytest.importorskip("mpmath")
+    x = LAGUERRE_PAIR_X
+    _, previous, exponent = _laguerre_scaled(n, alpha, x)
+    exponent = np.broadcast_to(exponent, x.shape)
+    with mpmath.workdps(40):
+        for v, got, e in zip(x, previous, exponent):
+            v = mpmath.mpf(float(v))
+            want = mpmath.laguerre(n - 1, alpha, v) if n else mpmath.mpf(0)
+            size = abs(want) + abs(mpmath.laguerre(n, alpha, v))
+            assert abs(mpmath.ldexp(float(got), int(e)) - want) <= 1e-12 * size
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 60, 300])
+@pytest.mark.parametrize("alpha", [-0.9, 0.3, 2.9, 80.0])
+def test_laguerre_pair_gives_the_next_order(n, alpha):
+    # x L_(n-1)^(alpha+1) = (n + alpha) L_(n-1)^(alpha) - n L_n^(alpha)
+    # (DLMF 18.9), the identity Fisher's oracle reads its derivative term
+    # from, against the recurrence of order alpha + 1 run separately.
+    x = LAGUERRE_PAIR_X
+    cur, previous, exponent = _laguerre_scaled(n, alpha, x)
+    upper, _, upper_exponent = _laguerre_scaled(n - 1, alpha + 1.0, x)
+    shift = np.asarray(upper_exponent - np.asarray(exponent), dtype=np.int32)
+    lhs = x * np.ldexp(upper, shift)
+    rhs = (n + alpha) * previous - n * cur
+    size = (n + alpha) * np.abs(previous) + n * np.abs(cur)
+    assert np.all(np.abs(lhs - rhs) <= 1e-13 * size)
 
 
 def test_log_abs_laguerre_is_minus_inf_at_a_zero():

@@ -265,7 +265,7 @@ def test_mathieu_profile_zero_coupling_is_shifted_cosine():
 def test_mathieu_profile_grid_matches_pointwise(Dm, delta, m, n):
     # Some of these orders bind no state at De 3 (m 0 at Dm 5), so the
     # profile is named by its order and coupling, not by a solved state.
-    profile = angular_profile(m + delta, 4.0 * Dm, AngularMode.MATHIEU_NUMERIC)
+    profile = angular_profile(m + delta, 4.0 * Dm)
     if n < 64:
         assert profile.k.size > n
     theta = 2.0 * math.pi * np.arange(n) / n

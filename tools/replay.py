@@ -69,8 +69,12 @@ def workload_requests(name: str, seed: int, count: int | None = None) -> list[tu
             for _ in range(count) for request in next(batches)]
 
 
-def _run(argv: tuple) -> tuple[object, str, str]:
-    """Exit code (or "raised", with the exception on stderr), stdout, stderr."""
+def _run(argv: tuple, cli=cli, validation=validation) -> tuple[object, str, str]:
+    """Exit code (or "raised", with the exception on stderr), stdout, stderr.
+
+    ``cli`` and ``validation`` are the modules of the tree that answers,
+    by default the ``kratzer2d`` on the path.
+    """
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
