@@ -9,10 +9,12 @@ Laguerre zeros, each panel smoothed by a sine substitution, laid out and
 evaluated for both orders in one pass.  Its range ends at a cut past the
 last zero where a proven bound on the remaining tail (concavity of the
 log-integrand there) meets a budget, and that bound joins the error
-estimate.  A Gauss-Laguerre rule's nodes are the eigenvalues of the
-Jacobi matrix; its weights come from the closed formula in L_{K+1},
-evaluated in log space by specfun.log_abs_laguerre, so that every weight
-keeps its relative accuracy down to the smallest (eigenvector components
+estimate.  W_q's radial sum depends on (n_r, 2 lam, q) alone and is
+memoised on those, as the cached profiles hold their angular sums by q.
+A Gauss-Laguerre rule's nodes are the eigenvalues of the Jacobi matrix;
+its weights come from the closed formula in L_{K+1}, evaluated in log
+space by specfun.log_abs_laguerre, so that every weight keeps its
+relative accuracy down to the smallest (eigenvector components
 carry only absolute accuracy, which the doubled guard rule would then
 report as drift).  Every L_n here comes from specfun's one rescaled
 recurrence; Shannon and W_q take it as ln |L_n|, and Fisher as a
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -322,8 +325,9 @@ def fisher_numeric(solved: SolvedState) -> FisherResult:
         scale = math.exp(solved.log_norm_sq + log_mass)
         return scale * float(weights @ poly), scale * float(weights @ (ln * ln))
 
-    r1, r2 = parts(n + 6)
+    # the doubled rule first: past the row limit it refuses before any rule is built
     r1b, r2b = parts(2 * (n + 6))
+    r1, r2 = parts(n + 6)
     i1 = ang.i2norm * r1b
     i2 = 4.0 * ang.ideriv * r2b
     drift = abs(r1 - r1b) + abs(r2 - r2b)
@@ -391,32 +395,22 @@ def shannon_numeric(solved: SolvedState, target: float = 1e-9) -> float:
     return -ang.i2norm * float(r_log) - ang.ilog * float(norm_int)
 
 
-def wq_numeric(solved: SolvedState, q: float) -> EntropicMoment:
-    """Entropic moment W_q by quadrature of rho^q, for real q > 0.
+@lru_cache(maxsize=256)
+def _wq_radial(n: int, twol: float, q: float) -> tuple[float, float]:
+    """(offset, ln I): the radial half of wq_numeric, a function of
+    (n_r, 2 lam, q) alone.
 
-    After u = q x the radial integrand is u^(q (2 lam - 1) + 1) e^-u
-    |L_n(u/q)|^2q, which the panel rule integrates between the rescaled
-    Laguerre zeros at every q, with a floating scale pulled out.  The
-    range ends at a cut past the last zero, from a proven tail bound (see
-    _tail_cut); a sum is accepted only when that bound is at most 2^-50
-    of it, and otherwise the cut moves out and the rule runs again.
-    Raises AccuracyError when the error estimate, |I_40 - I_80| plus the
-    tail bound, over I_80 exceeds 1e-10 at integer q (a smooth integrand)
-    or 1e-8 at real q (kinks at the zeros).  The moment carries
-    ln W_q, summed from the scale pulled out and the log of the radial
-    sum, so it stays finite where W_q itself leaves the double range.
+    After u = q x the radial integrand is u^alpha e^-u |L_n(u/q)|^2q,
+    alpha = q (2 lam - 1) + 1, with e^offset pulled out; I is its panel
+    rule sum.  The range ends at a cut past the last zero, from a proven
+    tail bound (see _tail_cut); a sum is accepted only when that bound is
+    at most 2^-50 of it, and otherwise the cut moves out and the rule runs
+    again.  Raises AccuracyError when the error estimate, |I_40 - I_80|
+    plus the tail bound, over I_80 exceeds 1e-10 at integer q (a smooth
+    integrand) or 1e-8 at real q (kinks at the zeros).  A raise is not
+    cached, so a failing state raises on every call.
     """
-    if not q > 0.0:
-        raise ValueError(f"wq_numeric requires q > 0, got {q}")
-    n, twol = solved.spec.n_r, 2.0 * solved.lam
-    ang = angular_integrals_numeric(solved, q=q)
     alpha = q * (twol - 1.0) + 1.0
-    log_front = (
-        math.log(ang.ipow)
-        + q * solved.log_norm_sq
-        - 2.0 * math.log(2.0 * solved.beta)
-        - (alpha + 1.0) * math.log(q)
-    )
     offset = alpha * (math.log(alpha) - 1.0) if alpha > 1.0 else 0.0
 
     def integrand(u: np.ndarray) -> np.ndarray:
@@ -440,6 +434,33 @@ def wq_numeric(solved: SolvedState, q: float) -> EntropicMoment:
     tol = 1e-10 if float(q).is_integer() else 1e-8
     if not err <= tol * radial:
         raise AccuracyError("W_q radial quadrature did not converge", err / radial)
+    return offset, log_mass
+
+
+def wq_numeric(solved: SolvedState, q: float) -> EntropicMoment:
+    """Entropic moment W_q by quadrature of rho^q, for real q > 0.
+
+    The radial sum comes from _wq_radial, memoised on (n_r, 2 lam, q)
+    (256 entries, like the angular profiles), so the W_q, T_q and R_q of
+    one state, asked for together or one request at a time, run the
+    panel rule once, and so do states of equal lambda.  The moment
+    carries ln W_q, summed from the state's ln N^2 and beta, the angular
+    sum, the scale pulled out and the log of the radial sum, so it stays
+    finite where W_q itself leaves the double range.  Raises
+    AccuracyError as _wq_radial does.
+    """
+    if not q > 0.0:
+        raise ValueError(f"wq_numeric requires q > 0, got {q}")
+    twol = 2.0 * solved.lam
+    ang = angular_integrals_numeric(solved, q=q)
+    alpha = q * (twol - 1.0) + 1.0
+    log_front = (
+        math.log(ang.ipow)
+        + q * solved.log_norm_sq
+        - 2.0 * math.log(2.0 * solved.beta)
+        - (alpha + 1.0) * math.log(q)
+    )
+    offset, log_mass = _wq_radial(solved.spec.n_r, twol, float(q))
     return EntropicMoment(q, log_front + offset + log_mass)
 
 

@@ -24,7 +24,8 @@ def ab_tool():
 def _ratios(ab_tool, sources, into):
     trees = ab_tool.load_trees(sources, into)
     requests = ab_tool.replay.workload_requests("closed-forms", 3, count=2)
-    return list(ab_tool.paired(trees, requests))
+    return [(change / parent, same)
+            for parent, change, same in ab_tool.paired(trees, requests)]
 
 
 def test_a_tree_against_itself_reads_one(ab_tool, tmp_path):
@@ -54,6 +55,7 @@ def test_main_prints_one_line_per_workload(ab_tool, capsys):
     assert ab_tool.main([str(SRC), str(SRC), "--seeds", "3", "--cycles", "1",
                          "--workloads", "closed-forms"]) == 0
     out, err = capsys.readouterr()
-    name, count, median, q1, q3, answers = out.rstrip("\n").split("\t")
+    name, count, median, q1, q3, total, answers = out.rstrip("\n").split("\t")
     assert (name, count, answers) == ("closed-forms", "requests=200", "all equal")
+    assert total.startswith("total=") and float(total[len("total="):]) > 0.0
     assert err == ""

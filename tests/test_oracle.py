@@ -564,6 +564,71 @@ def test_wq_numeric_rejects_bad_q(std_state):
         wq_numeric(std_state, 0.0)
 
 
+def test_fisher_refuses_a_doubled_rule_past_the_row_limit(monkeypatch, capsys):
+    # At n = 4091 the doubled rule needs 8194 rows; it is the only rule
+    # asked for, so no 4097-row eigensolve runs before the refusal.
+    roots, laguerre_roots = [], oracle._laguerre_roots
+    monkeypatch.setattr(oracle, "_laguerre_roots",
+                        lambda n, alpha: roots.append(n) or laguerre_roots(n, alpha))
+    code = cli.main(["compute", "--De", "1", "--re", "1", "--n", "4091",
+                     "--mode", "mathieu", "--measure", "fisher"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: the Laguerre zeros would take a 8194-row Jacobi matrix, "
+        "past its limit of 8192\n")
+    assert roots == [8194]
+
+
+# ---------------------------------------------------------- W_q radial cache
+
+
+def _mathieu_state(De, re):
+    p = make_params(De=De, re=re, Dm=0.3, delta=0.2)
+    return solve_state(p, StateSpec(2, 1), mode=AngularMode.MATHIEU_NUMERIC)
+
+
+def test_wq_radial_cache_is_shared_by_states_of_equal_lambda():
+    # A and B have one lambda, and B's beta is half of A's: B's moment after
+    # a hit from A is its cold value to the bit.
+    a, b = _mathieu_state(3.0, 1.0), _mathieu_state(0.75, 2.0)
+    assert a.lam == b.lam and b.beta == 0.5 * a.beta
+    oracle._wq_radial.cache_clear()
+    cold = wq_numeric(b, 3.0).log_Wq
+    oracle._wq_radial.cache_clear()
+    assert wq_numeric(a, 3.0).log_Wq != cold
+    assert wq_numeric(b, 3.0).log_Wq == cold
+    info = oracle._wq_radial.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (1, 1, 256)
+
+
+def test_wq_raising_state_raises_on_every_call():
+    # The 40/80 estimate fails here (4.5e-10 against 1e-10); a raise is
+    # never cached.
+    state = solve_state(make_params(De=0.492, re=1.0, delta=0.094), StateSpec(14, 1))
+    oracle._wq_radial.cache_clear()
+    for _ in range(3):
+        with pytest.raises(AccuracyError, match="did not converge"):
+            wq_numeric(state, 6.0)
+    assert oracle._wq_radial.cache_info().currsize == 0
+
+
+def test_wq_requests_one_at_a_time_share_one_radial_sum(capsys):
+    # fisher, wq, tsallis and renyi asked for one by one run the radial
+    # rule once, and print the W_3, T_3 and R_3 of one cold request.
+    state = ["compute", "--De", "3", "--re", "1", "--D", "0.3", "--delta", "0.2",
+             "--n", "2", "--m", "1", "--mode", "mathieu", "--q", "3", "--measure"]
+    oracle._wq_radial.cache_clear()
+    lines = []
+    for measure in ("fisher", "wq", "tsallis", "renyi"):
+        assert cli.main(state + [measure]) == 0
+        lines.append(capsys.readouterr().out.splitlines()[-1])
+    info = oracle._wq_radial.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+    oracle._wq_radial.cache_clear()
+    assert cli.main(state + ["wq,tsallis,renyi"]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == lines[1:]
+
+
 # --------------------------------------------------- finite-difference FD
 
 

@@ -131,7 +131,16 @@ def test_tail_cut_stays_on_the_falling_side_when_the_target_is_out_of_reach():
     assert float(mpmath.log(tail)) <= log_bound + 1e-12 * abs(log_bound)
 
 
-def test_wq_widens_a_cut_whose_tail_fails_the_check(monkeypatch):
+@pytest.fixture
+def cold_radial_cache():
+    """An empty W_q radial cache before and after the test, so that a
+    patched rule runs instead of a hit and leaves no value behind."""
+    oracle._wq_radial.cache_clear()
+    yield
+    oracle._wq_radial.cache_clear()
+
+
+def test_wq_widens_a_cut_whose_tail_fails_the_check(monkeypatch, cold_radial_cache):
     # A first cut aimed at a mass of e^100, out of the last lobe's reach,
     # stops where ln f still falls and leaves a tail above 2^-50 of the sum;
     # the rule cuts again from the sum's own mass and lands on an ordinary
@@ -139,6 +148,7 @@ def test_wq_widens_a_cut_whose_tail_fails_the_check(monkeypatch):
     p = make_params(De=1.0, re=1.0)
     state = solve_state(p, StateSpec(4, 1))
     expected = wq_numeric(state, 3.0).Wq
+    oracle._wq_radial.cache_clear()
     tail_cut, masses = oracle._tail_cut, []
 
     def overestimated(p_, k, c, zeros, log_scale, log_mass=None):
@@ -150,7 +160,7 @@ def test_wq_widens_a_cut_whose_tail_fails_the_check(monkeypatch):
     assert len(masses) == 2 and masses[0] is None and masses[1] is not None
 
 
-def test_wq_raises_when_no_cut_passes_the_check(monkeypatch):
+def test_wq_raises_when_no_cut_passes_the_check(monkeypatch, cold_radial_cache):
     # Aiming every cut at the whole mass never passes the 2^-50 check.
     p = make_params(De=1.0, re=1.0)
     monkeypatch.setattr(oracle, "_LOG_TAIL_BUDGET", 0.0)

@@ -9,8 +9,10 @@ both trees back to back, the tree that goes first alternating from one
 request to the next, and each request gives the ratio of the change's
 time to the parent's.  One line per workload (``extra`` for replay's
 EXTRA requests) then gives the request count, the median and quartiles
-of that ratio, and whether every answer (exit code, stdout and stderr)
-matched; the argv of each request whose answers differ follows on stderr.
+of that ratio, the ratio of the summed times (what the benchmark's
+evals_per_s reads), and whether every answer (exit code, stdout and
+stderr) matched; the argv of each request whose answers differ follows
+on stderr.
 The exit code is 1 when any answer differs.
 
     python tools/ab.py /path/to/parent/src src --seeds 3,4
@@ -60,7 +62,7 @@ def load_trees(sources, into: Path) -> list[tuple]:
 
 
 def paired(trees, requests):
-    """(ratio, same answer) per request: the change's time over the parent's."""
+    """(parent's seconds, change's seconds, same answer) per request."""
     for i, argv in enumerate(requests):
         order = (0, 1) if i % 2 == 0 else (1, 0)
         seconds, answers = [0.0, 0.0], [None, None]
@@ -68,17 +70,19 @@ def paired(trees, requests):
             start = time.perf_counter()
             answers[side] = replay._run(argv, *trees[side])
             seconds[side] = time.perf_counter() - start
-        yield seconds[1] / seconds[0], answers[0] == answers[1]
+        yield seconds[0], seconds[1], answers[0] == answers[1]
 
 
 def summary(name: str, results) -> str:
-    """One line: request count, median and quartiles of the ratio, answers."""
-    ratios = [ratio for ratio, _ in results]
+    """One line: request count, median and quartiles of the per-request ratio,
+    the ratio of the summed times, answers."""
+    ratios = [change / parent for parent, change, _ in results]
     q1, median, q3 = statistics.quantiles(ratios, n=4)
-    differ = sum(not same for _, same in results)
+    total = sum(change for _, change, _ in results) / sum(parent for parent, _, _ in results)
+    differ = sum(not same for _, _, same in results)
     answers = "all equal" if not differ else f"{differ} differ"
     return (f"{name}\trequests={len(results)}\tmedian={median:.3f}\t"
-            f"q1={q1:.3f}\tq3={q3:.3f}\t{answers}")
+            f"q1={q1:.3f}\tq3={q3:.3f}\ttotal={total:.3f}\t{answers}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
                             replay.workload_requests(name, seed, args.cycles)]
             results = list(paired(trees, requests))
             print(summary(name, results), flush=True)
-            for request, (_, same) in zip(requests, results):
+            for request, (_, _, same) in zip(requests, results):
                 if not same:
                     differ = True
                     print(f"{name}: answers differ: {request}", file=sys.stderr)

@@ -54,6 +54,11 @@ EXTRA = (
      "--measure", "energy,shannon,renyi"),
     ("compute", "--De", "1", "--re", "1", "--D", "1e40", "--method", "matrix",
      "--measure", "energy"),
+    # one lambda, beta halved: the second takes the first's W_q radial sum
+    ("compute", "--De", "3", "--re", "1", "--D", "0.3", "--delta", "0.2", "--n", "2",
+     "--m", "1", "--mode", "mathieu", "--measure", "wq,tsallis,renyi", "--q", "3"),
+    ("compute", "--De", "0.75", "--re", "2", "--D", "0.3", "--delta", "0.2", "--n", "2",
+     "--m", "1", "--mode", "mathieu", "--measure", "wq,tsallis,renyi", "--q", "3"),
 )
 
 
