@@ -106,7 +106,11 @@ def _merge_override(base: dict[str, MoleculePreset], entry: dict) -> None:
     if not isinstance(entry, dict) or "name" not in entry:
         raise ValueError("preset override entries need at least a 'name' key")
     name = str(entry["name"])
-    fields = {k: float(entry[k]) for k in ("De_eV", "re_angstrom", "mu_amu") if k in entry}
+    fields = {k: entry[k] for k in ("De_eV", "re_angstrom", "mu_amu") if k in entry}
+    for key, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"preset {name!r} field {key!r} must be a number, got {value!r}")
+        fields[key] = float(value)
     note = str(entry.get("mu_note", "")) or f"user override from file ({name})"
     if name in base:
         base[name] = replace(base[name], mu_note=note if "mu_amu" in entry

@@ -471,7 +471,9 @@ def radial_fd_eigen(top: SolvedState) -> list[float]:
     ``top``, the solved state of the highest level asked for, at most
     n_r = 9; the energies come from the grid alone.  Discretises
     the radial operator (second derivative plus the inverse-square and
-    Coulomb-like terms) on a uniform Dirichlet grid, solves the
+    Coulomb-like terms) on a uniform Dirichlet grid whose wall sits 40
+    past the top level's outer turning point, at x = 2 beta r =
+    2(n + lambda) + 2 sqrt((n + lambda)^2 - lambda(lambda - 1)) + 40, solves the
     tridiagonal eigenproblem on 2001, 4001 and 8003 interior points, and
     Richardson-extrapolates the O(h^2) error of the finer two; its
     distance from the coarser two's extrapolation is the error estimate,
@@ -483,7 +485,8 @@ def radial_fd_eigen(top: SolvedState) -> list[float]:
         raise ValueError(f"radial_fd_eigen supports levels up to n_r = 9, got {top_n}")
     c2 = top.lam * (top.lam - 1.0)
     two_mu_a = 2.0 * params.mu * params.A
-    r_max = (40.0 + 10.0 * top_n) / (2.0 * top.beta)
+    nl = top_n + top.lam
+    r_max = (2.0 * nl + 2.0 * math.sqrt(nl * nl - c2) + 40.0) / (2.0 * top.beta)
 
     def spectrum(points: int) -> np.ndarray:
         h = r_max / (points + 1)

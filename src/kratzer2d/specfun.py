@@ -257,13 +257,13 @@ def _even_seed(nu: float, size: int, K: int) -> np.ndarray:
 
 
 _TAIL_TOL = 1e-12
-# Most rows a characteristic matrix may take: the start K ~ 2 sqrt(b) stays
+# Most rows a characteristic matrix may take: the window K ~ 2 sqrt(b) stays
 # under it up to b ~ 4.4e12, whose solve peaks near 0.8 GB; one order of
 # magnitude more in b would allocate gigabytes.
 _MAX_ROWS = 2**23
 
 
-def mathieu_char_matrix(m_eff: float, b: float, K: int = 25) -> MathieuEvenSolution:
+def mathieu_char_matrix(m_eff: float, b: float, K: int) -> MathieuEvenSolution:
     """Even Mathieu characteristic number by tridiagonal diagonalisation.
 
     Builds the symmetric operator with diagonal (nu + 2k)^2, k = -K..K,
@@ -278,8 +278,8 @@ def mathieu_char_matrix(m_eff: float, b: float, K: int = 25) -> MathieuEvenSolut
     """
     m_eff = float(m_eff)
     b = float(b)
-    if m_eff < 0.0 or b < 0.0:
-        raise ValueError("mathieu_char_matrix requires m_eff >= 0 and b >= 0")
+    if not (0.0 <= m_eff < math.inf and 0.0 <= b < math.inf):
+        raise ValueError("mathieu_char_matrix requires finite m_eff >= 0 and b >= 0")
     if K < 10:
         raise ValueError(f"mathieu_char_matrix requires K >= 10, got {K}")
     if 2 * K + 1 > _MAX_ROWS:
@@ -308,22 +308,22 @@ def mathieu_char_matrix(m_eff: float, b: float, K: int = 25) -> MathieuEvenSolut
     tail = max(abs(coeffs[0]), abs(coeffs[-1]))
     if tail > _TAIL_TOL * peak:
         raise TruncationError(
-            f"Fourier tail {tail / peak:.1e} exceeds {_TAIL_TOL:.0e} at K = {K}; "
-            "increase the truncation"
+            f"Fourier tail {tail / peak:.1e} exceeds {_TAIL_TOL:.0e} at K = {K} "
+            "(window K = max(25, ceil(2 m_eff) + floor(2 sqrt b) + 15))"
         )
     return MathieuEvenSolution(nu, b, float(vals[best]), coeffs, K)
 
 
 def mathieu_even_solution(m_eff: float, b: float) -> MathieuEvenSolution:
-    """mathieu_char_matrix with the truncation doubled until the tail decays."""
-    K = max(25, int(math.ceil(2.0 * m_eff)) + 15, int(2.0 * math.sqrt(max(b, 0.0))) + 10)
-    while True:
-        try:
-            return mathieu_char_matrix(m_eff, b, K)
-        except TruncationError:
-            if K >= 3200:
-                raise
-            K = min(2 * K, 3200)
+    """mathieu_char_matrix on the window K = max(25, ceil(nu) + floor(2 sqrt b) + 15).
+
+    The diagonal (nu + 2k)^2 meets nu^2 at k = 0 and at its mirror k = -nu;
+    the window reaches about 2 sqrt(b) rows past both, where the branch decays.
+    """
+    if not (0.0 <= m_eff < math.inf and 0.0 <= b < math.inf):
+        raise ValueError("mathieu_even_solution requires finite m_eff >= 0 and b >= 0")
+    K = max(25, math.ceil(2.0 * m_eff) + int(2.0 * math.sqrt(b)) + 15)
+    return mathieu_char_matrix(m_eff, b, K)
 
 
 def _start_bits(q: int, n: int, lam: float) -> int:

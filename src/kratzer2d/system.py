@@ -158,8 +158,9 @@ def make_params(
 
 
 def mathieu_coupling(params: SystemParams) -> float:
-    """Mathieu coupling b = 4 mu Dm of the angular equation."""
-    return 4.0 * params.mu * params.Dm
+    """Mathieu coupling b = 4 mu Dm of the angular equation; the exact factor 4
+    comes last, so mu past 4.5e307 at Dm = 0 gives 0, not inf * 0."""
+    return 4.0 * (params.mu * params.Dm)
 
 
 def _angular_eigenvalue(params: SystemParams, m: int, method: str) -> tuple[float, str]:

@@ -85,16 +85,19 @@ def test_angular_profile_keeps_cache_interface():
     assert callable(system.angular_profile.cache_clear)
 
 
-@pytest.mark.parametrize("m_eff, b", [(2.2, 20.0), (4.3, 50.0), (1.001, 100.0), (1.01, 200.0)])
+@pytest.mark.parametrize("m_eff, b", [(2.2, 20.0), (4.3, 50.0), (1.001, 100.0), (1.01, 200.0),
+                                      (130.3, 1.6e4)])
 def test_matrix_branch_matches_benchmark_reference(m_eff, b):
     # The reference takes the eigenvalue whose rank is that of (2 m_eff)^2
-    # on the diagonal; near-integer orders at large b are where a branch
-    # tracker loses it.
+    # on the diagonal, on a window twice the package's; near-integer orders
+    # at large b are where a branch tracker loses it, and nu past 2 sqrt(b)
+    # where a window without room past the mirror k = -nu does.
     mpmath = pytest.importorskip("mpmath")
     from kratzer2d.specfun import mathieu_even_solution
 
     reference = _benchmark_module("reference")
+    sol = mathieu_even_solution(m_eff, b)
     with mpmath.workdps(40):
-        ref, _ = reference.matrix_char_solution(mpmath.mpf(m_eff), mpmath.mpf(b))
-    ours = mathieu_even_solution(m_eff, b).char_number
-    assert ours == pytest.approx(float(ref), rel=1e-10, abs=0.0)
+        ref, _ = reference.matrix_char_solution(mpmath.mpf(m_eff), mpmath.mpf(b),
+                                                2 * sol.truncation)
+    assert sol.char_number == pytest.approx(float(ref), rel=1e-10, abs=0.0)

@@ -326,6 +326,17 @@ def test_energy_and_entropies_at_a_reduced_mass_of_1e_300(capsys):
     assert "renyi: R_2=1383.97672 (W_2=0)\n" in out
 
 
+@pytest.mark.parametrize("mode", ["cosine", "mathieu"])
+def test_energy_at_a_reduced_mass_of_5e307(mode, capsys):
+    # 4 mu passes the double range, but the coupling 4 (mu Dm) at Dm = 0 is 0.
+    argv = ["compute", "--De", "1", "--re", "1", "--mu", "5e307", "--measure", "energy",
+            "--mode", mode]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert "solution: b=0 E_theta=0 " in out and out.endswith("energy: E=-1 E_total=0\n")
+    assert err == ""
+
+
 def test_converted_preset_moment_at_lambda_465(capsys):
     argv = ["compute", "--preset", "Cs2", "--units", "converted", "--delta", "0.2",
             "--D", "0.4", "--n", "8", "--m", "2", "--method", "matrix",
@@ -380,6 +391,20 @@ def test_unknown_preset_exits_1(capsys):
     assert main(["compute", "--preset", "Nope"]) == 1
     err = capsys.readouterr().err
     assert err == "error: unknown molecule preset 'Nope' (known: Cs2, Li2, SiSn)\n"
+
+
+@pytest.mark.parametrize("value", [None, True], ids=["null", "true"])
+@pytest.mark.parametrize("command", [["compute", "--preset", "Cs2"], ["table"]],
+                         ids=["compute", "table"])
+def test_preset_file_field_that_is_not_a_number_exits_1(tmp_path, capsys, value, command):
+    # null and true are not numbers (float(True) would read 1 eV): one
+    # error line that names the preset and the field.
+    path = tmp_path / "presets.json"
+    path.write_text(json.dumps({"name": "Cs2", "De_eV": value}))
+    assert main(command + ["--preset-file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: preset 'Cs2' field 'De_eV' must be a number, got {value!r}\n"
 
 
 SINGULAR_ORDER_ARGV = ["compute", "--De", "1", "--re", "1", "--D", "0.1",

@@ -665,18 +665,33 @@ def test_fd_rejects_bad_count():
 
 
 def test_fd_spectrum_answers_a_shallow_well_at_n_r_9():
-    # At De 1, m 0 the extrapolated levels sit within 7.5e-7 of the chain
-    # and their estimate reads 1.5e-5; the fine grid's own error (2.3e-4)
-    # no longer stands in for it.
+    # At De 1, m 0 the extrapolated levels sit within 7.4e-8 of the chain
+    # and their estimate reads 1.8e-6; the fine grid's own error (9.4e-5)
+    # does not stand in for it.
     p = make_params(De=1.0, re=1.0)
     fd = radial_fd_eigen(solve_state(p, StateSpec(9, 0)))
     for n, fd_energy in enumerate(fd):
         assert fd_energy == pytest.approx(solve_state(p, StateSpec(n, 0)).energy, rel=2e-6)
 
 
+@pytest.mark.parametrize(
+    "params, m",
+    [(make_params(De=400.0, re=1.0, Dm=0.5, delta=0.1), 3),
+     (make_params(De=400.0, re=1.0), 0), (make_params(De=1000.0, re=1.0), 2)],
+    ids=["De400-dipole", "De400", "De1000"],
+)
+def test_fd_spectrum_box_holds_the_top_level_of_a_deep_well(params, m):
+    # The wall must sit past the top level's outer turning point, which
+    # grows with lambda (28-45 here); a wall inside it squeezes the upper
+    # levels, and the grid estimate cannot see that.
+    fd = radial_fd_eigen(solve_state(params, StateSpec(9, m)))
+    for n, fd_energy in enumerate(fd):
+        assert fd_energy == pytest.approx(solve_state(params, StateSpec(n, m)).energy, rel=1e-6)
+
+
 def test_fd_spectrum_refuses_a_well_too_shallow_for_its_grid():
-    # At De 0.3 (lambda 1.27) the extrapolated levels really are 2.5e-3 off,
-    # and the estimate (5.2e-3) says so.
+    # At De 0.3 (lambda 1.27) the extrapolated levels really are off, and
+    # the estimate (2.4e-3) says so.
     with pytest.raises(AccuracyError, match="grid-converged"):
         radial_fd_eigen(solve_state(make_params(De=0.3, re=1.0), StateSpec(9, 0)))
 

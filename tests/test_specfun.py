@@ -271,7 +271,7 @@ def test_mathieu_series_rejects_negative_arguments():
 
 
 def test_mathieu_matrix_zero_coupling_exact():
-    sol = mathieu_char_matrix(2.2, 0.0)
+    sol = mathieu_char_matrix(2.2, 0.0, K=25)
     assert sol.char_number == pytest.approx(4.0 * 2.2 * 2.2, rel=1e-15, abs=0)
     assert sol.order == pytest.approx(4.4)
     assert sol.coeffs[sol.truncation] == 1.0
@@ -311,17 +311,52 @@ def test_mathieu_solution_satisfies_recurrence():
 
 
 def test_mathieu_solution_grows_truncation_for_large_coupling():
-    # At (7.9, 120) the starting truncation K = 31 leaves a Fourier tail
-    # above tolerance, so the solution doubles K once, to 62; its
+    # At (7.9, 120) K = 31 leaves a Fourier tail above tolerance; the
+    # window ceil(15.8) + floor(2 sqrt 120) + 15 = 52 holds it, and its
     # characteristic number is the one a K = 124 solve settles on.
     with pytest.raises(TruncationError):
         mathieu_char_matrix(7.9, 120.0, K=31)
     sol = mathieu_even_solution(7.9, 120.0)
-    assert sol.truncation == 62
+    assert sol.truncation == 52
     wide = mathieu_char_matrix(7.9, 120.0, K=124).char_number
     assert sol.char_number == pytest.approx(wide, rel=1e-9)
     tail = max(abs(sol.coeffs[0]), abs(sol.coeffs[-1]))
     assert tail <= 1e-12 * np.max(np.abs(sol.coeffs))
+
+
+def _window_sweep():
+    rng = np.random.default_rng(44)
+    pairs = [(130.3, 1.6e4), (160.007, 1.61e4), (600.4, 1e5), (1250.0, 1e6)]
+    for i in range(40):
+        m_eff = float(np.exp(rng.uniform(math.log(0.01), math.log(1600.0))))
+        b = float(np.exp(rng.uniform(math.log(1e-3), math.log(3e6))))
+        pairs.append((math.floor(m_eff) + 0.5 if i % 5 == 0 else m_eff, b))
+    return pairs
+
+
+def test_mathieu_solution_window_holds_the_branch_of_a_window_twice_as_wide():
+    # Where nu passes 2 sqrt(b) the window must reach past the mirror
+    # k = -nu of the diagonal's meeting with nu^2, or the rank-r eigenvalue
+    # is another level (2.9 % off at (130.3, 1.6e4)) while the vector's
+    # tail is still under tolerance.
+    for m_eff, b in _window_sweep():
+        sol = mathieu_even_solution(m_eff, b)
+        wide = mathieu_char_matrix(m_eff, b, 2 * sol.truncation).char_number
+        assert sol.char_number == pytest.approx(wide, rel=1e-10, abs=1e-9), (m_eff, b)
+
+
+def test_mathieu_solution_solves_once(monkeypatch):
+    # The window is sized from (m_eff, b) alone: one matrix solve, no retry.
+    from kratzer2d import specfun
+
+    calls = []
+    solve = specfun.mathieu_char_matrix
+    monkeypatch.setattr(specfun, "mathieu_char_matrix",
+                        lambda *args: calls.append(args) or solve(*args))
+    for m_eff, b in ((7.9, 120.0), (0.3, 0.5), (130.3, 1.6e4)):
+        calls.clear()
+        specfun.mathieu_even_solution(m_eff, b)
+        assert len(calls) == 1
 
 
 def test_mathieu_matrix_truncation_error():
@@ -342,8 +377,11 @@ def test_mathieu_matrix_refuses_a_truncation_past_its_row_limit():
 def test_mathieu_matrix_rejects_bad_arguments():
     with pytest.raises(ValueError):
         mathieu_char_matrix(2.2, 0.4, K=5)
-    with pytest.raises(ValueError):
-        mathieu_char_matrix(-1.0, 0.4)
+    for m_eff, b in ((-1.0, 0.4), (math.nan, 0.4), (2.2, math.nan), (2.2, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            mathieu_char_matrix(m_eff, b, K=25)
+        with pytest.raises(ValueError, match="finite"):
+            mathieu_even_solution(m_eff, b)
 
 
 # -------------------------------------------------------------------- gamma0

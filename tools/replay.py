@@ -54,6 +54,15 @@ EXTRA = (
      "--measure", "energy,shannon,renyi"),
     ("compute", "--De", "1", "--re", "1", "--D", "1e40", "--method", "matrix",
      "--measure", "energy"),
+    # 4 mu past the double range at Dm = 0: the coupling is 4 (mu Dm) = 0
+    ("compute", "--De", "1", "--re", "1", "--mu", "5e307", "--measure", "energy"),
+    # nu past 2 sqrt(b): the Fourier window must reach past the mirror k = -nu
+    ("compute", "--De", "1", "--re", "1", "--m", "600", "--delta", "0.4", "--D", "25000",
+     "--mode", "mathieu", "--measure", "energy"),
+    ("compute", "--De", "1", "--re", "1", "--m", "600", "--delta", "0.4", "--D", "25000",
+     "--method", "matrix", "--measure", "energy"),
+    ("compute", "--De", "1", "--re", "1", "--m", "3000", "--delta", "0.4", "--D", "1e6",
+     "--mode", "mathieu", "--measure", "energy"),
     # one lambda, beta halved: the second takes the first's W_q radial sum
     ("compute", "--De", "3", "--re", "1", "--D", "0.3", "--delta", "0.2", "--n", "2",
      "--m", "1", "--mode", "mathieu", "--measure", "wq,tsallis,renyi", "--q", "3"),
