@@ -23,7 +23,6 @@ from .measures import (
 from .molecules import (
     MoleculePreset,
     get_preset,
-    list_presets,
     raw_number_params,
     to_atomic_units,
 )
@@ -39,7 +38,6 @@ from .specfun import (
     SeriesSingularError,
     TruncationError,
     ValidityWarning,
-    gamma0,
     laguerre,
     mathieu_char_matrix,
     mathieu_char_series,
@@ -51,7 +49,6 @@ from .system import (
     StateSpec,
     SystemParams,
     UnboundAngularError,
-    angular_eigenvalue,
     angular_function,
     density,
     make_params,
@@ -76,16 +73,13 @@ __all__ = [
     "TruncationError",
     "UnboundAngularError",
     "ValidityWarning",
-    "angular_eigenvalue",
     "angular_function",
     "angular_integrals_numeric",
     "density",
     "fisher_closed",
     "fisher_numeric",
-    "gamma0",
     "get_preset",
     "laguerre",
-    "list_presets",
     "make_params",
     "mathieu_char_matrix",
     "mathieu_char_series",

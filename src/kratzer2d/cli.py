@@ -24,7 +24,7 @@ from typing import IO
 from . import molecules
 from .measures import shannon_closed
 from .oracle import AccuracyError
-from .specfun import TruncationError, ValidityWarning
+from .specfun import TruncationError
 from .system import (
     AngularMode,
     StateSpec,
@@ -335,12 +335,7 @@ def cmd_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         names = _comma_list(args.checks)
         if not names:
             parser.error("--checks must name at least one check")
-    with warnings.catch_warnings():
-        # The checks deliberately walk into warned-about territory
-        # (out-of-range couplings); the verdict lines already carry the
-        # outcome.
-        warnings.simplefilter("ignore", ValidityWarning)
-        results = run_checks(names, progress=_report_check)
+    results = run_checks(names, progress=_report_check)
     failed = [r for r in results if not r.passed]
     print(f"{len(results)} checks: {len(results) - len(failed)} passed, "
           f"{len(failed)} failed")

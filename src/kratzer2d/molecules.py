@@ -25,7 +25,6 @@ __all__ = [
     "ATOMIC_MASS_SI28",
     "ATOMIC_MASS_SN120",
     "get_preset",
-    "list_presets",
     "load_presets",
     "raw_number_params",
     "to_atomic_units",
@@ -139,11 +138,6 @@ def load_presets(override_path: str | Path | None = None) -> dict[str, MoleculeP
         for entry in entries:
             _merge_override(presets, entry)
     return presets
-
-
-def list_presets(override_path: str | Path | None = None) -> list[MoleculePreset]:
-    """All presets in a stable (built-in first, then added) order."""
-    return list(load_presets(override_path).values())
 
 
 def get_preset(name: str, override_path: str | Path | None = None) -> MoleculePreset:

@@ -357,7 +357,11 @@ def _shannon_cut(solved: SolvedState) -> tuple[np.ndarray, float, float, float]:
     return zeros, upper, tail, tail * (abs(log_rho_u) + (1.0 + 1.0 / upper) / rate)
 
 
-def shannon_numeric(solved: SolvedState, target: float = 1e-9) -> float:
+# The absolute error estimate above which shannon_numeric raises.
+_SHANNON_TARGET = 1e-9
+
+
+def shannon_numeric(solved: SolvedState) -> float:
     """Shannon entropy -integral rho ln rho by the radial panel rule.
 
     The radial integrand has integrable log cusps at the Laguerre zeros;
@@ -368,7 +372,7 @@ def shannon_numeric(solved: SolvedState, target: float = 1e-9) -> float:
     the tails of both rows, bounded from U (see _shannon_cut), join the
     error estimate.  The angular share enters through the trapezoid
     profile integrals.  Raises AccuracyError when the error estimate
-    exceeds ``target``.
+    exceeds ``_SHANNON_TARGET``.
     """
     n, twol = solved.spec.n_r, 2.0 * solved.lam
     log_4b2 = 2.0 * math.log(2.0 * solved.beta)
@@ -390,7 +394,7 @@ def shannon_numeric(solved: SolvedState, target: float = 1e-9) -> float:
     zeros, upper, weight_tail, row_tail = _shannon_cut(solved)
     (r_log_p, norm_p), (r_log, norm_int) = _panel_integrals(integrands, zeros, upper)
     achieved = (abs(r_log_p - r_log) + abs(norm_p - norm_int)) + weight_tail + row_tail
-    if not achieved <= target:
+    if not achieved <= _SHANNON_TARGET:
         raise AccuracyError("Shannon radial quadrature did not converge", achieved)
     return -ang.i2norm * float(r_log) - ang.ilog * float(norm_int)
 

@@ -37,7 +37,6 @@ __all__ = [
     "mathieu_char_series",
     "mathieu_char_matrix",
     "mathieu_even_solution",
-    "gamma0",
     "log_gamma0",
 ]
 
@@ -340,6 +339,12 @@ def _start_bits(q: int, n: int, lam: float) -> int:
     return 62 + math.ceil(q * n * (3.1 + math.log2(1.0 + 2.5 * lam / n)))
 
 
+# Largest size bound, in bytes, of the packed power that _gamma0_sum may
+# raise.  The bound reads 17-20 MiB at (q, n) = (4, 400), lam 3.7-150 (a sum
+# of about 50 s of CPU on a 2-vCPU x86 VM), and 1.25 MiB at (8, 50).
+_GAMMA0_MAX_BYTES = 2**25
+
+
 def _floor_mask(size: int, bits: int, length: int) -> int:
     """Mask that clears the low ``bits`` bits of each of ``length`` slots.
 
@@ -364,6 +369,15 @@ def _gamma0_sum(q: int, n: int, lam: float, bits: int) -> tuple[int, int, int]:
     # 2^e >= (a + K) / q for every K < k_max
     top = a_num + (k_max - 1) * den
     e = (-(-top // (q * den)) - 1).bit_length()
+    # Every num + j den >= den (2 lam > 1), so V_k <= C(n, k) 2^(e k + bits),
+    # sum(V) < 2^(bits + n (e + 1) + 1) and a slot of the packed power
+    # needs at most 2 bits + 2 q (n (e + 1) + 1) bits.
+    bound_bytes = (k_max + 1) * -(-(2 * bits + 2 * q * (n * (e + 1) + 1)) // 8)
+    if bound_bytes > _GAMMA0_MAX_BYTES:
+        raise ValueError(
+            f"gamma0 at q={q}, n={n} needs a packed integer of up to "
+            f"{bound_bytes / 2**20:.0f} MiB, past the {_GAMMA0_MAX_BYTES >> 20} MiB limit"
+        )
     # V_k = C(n, k) 2^(e k) / (2 lam)_k, floored at scale 2^-bits, with
     # (2 lam)_k = prod_{j<k} (num + j den) / den^k
     V, poch = [], 1
@@ -496,11 +510,3 @@ def log_gamma0(q: int, n: int, lam: float) -> tuple[float, float]:
     log_f = math.log(m / (1 << 54)) + (shift + 54 - scale) * math.log(2.0)
     return log_gamma_a + log_f, 1.0 if total > 0 else -1.0
 
-
-def gamma0(q: int, n: int, lam: float) -> float:
-    """Laguerre-power linearisation coefficient in float64, signed inf past its range."""
-    lg, sign = log_gamma0(q, n, lam)
-    try:
-        return sign * math.exp(lg)
-    except OverflowError:
-        return sign * math.inf

@@ -33,7 +33,6 @@ __all__ = [
     "SolvedState",
     "make_params",
     "mathieu_coupling",
-    "angular_eigenvalue",
     "solve_state",
     "angular_profile",
     "angular_function",
@@ -163,62 +162,53 @@ def mathieu_coupling(params: SystemParams) -> float:
     return 4.0 * (params.mu * params.Dm)
 
 
-def _angular_eigenvalue(params: SystemParams, m: int, method: str) -> tuple[float, str]:
-    """E_theta and the route that answered: "series" falls back to
-    "matrix" where the series refuses the order (SeriesSingularError)."""
-    if m < 0:
-        raise ValueError(f"angular order m must be >= 0, got {m}")
-    b = mathieu_coupling(params)
-    m_eff = m + params.delta
-    if method == "series":
-        try:
-            return params.delta**2 - mathieu_char_series(m_eff, b) / 4.0, "series"
-        except SeriesSingularError:
-            pass
-    elif method != "matrix":
-        raise ValueError(f"unknown characteristic-number method {method!r}")
-    return params.delta**2 - mathieu_even_solution(m_eff, b).char_number / 4.0, "matrix"
-
-
-def angular_eigenvalue(params: SystemParams, m: int, method: str = "series") -> float:
-    """Angular separation constant E_theta = delta^2 - a_{2(m+delta)}(b) / 4.
-
-    ``method`` picks how the even Mathieu characteristic number is
-    computed: "series" (truncated power series; the tridiagonal
-    eigensolve where its denominators vanish) or "matrix" (tridiagonal
-    eigensolve).  With Dm = 0 both give delta^2 - (m + delta)^2 exactly.
-    """
-    return _angular_eigenvalue(params, m, method)[0]
-
-
 def solve_state(
     params: SystemParams,
     spec: StateSpec,
     mode: AngularMode = AngularMode.PAPER_COSINE,
     method: str | None = None,
 ) -> SolvedState:
-    """Assemble the full eigenvalue chain for one (n_r, m) state; ``method``
-    defaults to "series" in cosine mode and to "matrix" in Mathieu mode,
-    whose profile is the matrix's and which refuses the series.
+    """Assemble the full eigenvalue chain for one (n_r, m) state.
+
+    The angular separation constant is E_theta = delta^2 - a_{2(m+delta)}(b) / 4.
+    ``method`` picks how the even Mathieu characteristic number a is
+    computed: "series" (truncated power series; the tridiagonal
+    eigensolve where its denominators vanish) or "matrix" (tridiagonal
+    eigensolve).  It defaults to "series" in cosine mode and to "matrix"
+    in Mathieu mode, whose profile is the matrix's and which refuses the
+    series; ``SolvedState.method`` is the route that answered.  With
+    Dm = 0 both give delta^2 - (m + delta)^2 exactly.
 
     Then lambda = 1/2 + sqrt(-E_theta + 2 mu B + delta^2) and
     beta = -mu A / (n_r + lambda) (1/bohr); a radicand that is not
     positive (NaN included) leaves no bound radial branch and raises
     UnboundAngularError.
     """
+    if spec.m < 0:
+        raise ValueError(f"angular order m must be >= 0, got {spec.m}")
+    if spec.n_r < 0:
+        raise ValueError(f"radial quantum number must be >= 0, got {spec.n_r}")
     cosine = mode is AngularMode.PAPER_COSINE
+    method = method or ("series" if cosine else "matrix")
+    if method not in ("series", "matrix"):
+        raise ValueError(f"unknown characteristic-number method {method!r}")
     if not cosine and method == "series":
         raise ValueError("Mathieu mode takes its eigenvalue from the matrix, not the series")
-    e_theta, method = _angular_eigenvalue(
-        params, spec.m, method or ("series" if cosine else "matrix"))
+    b, m_eff = mathieu_coupling(params), spec.m + params.delta
+    if method == "series":
+        try:
+            char = mathieu_char_series(m_eff, b)
+        except SeriesSingularError:
+            method = "matrix"
+    if method == "matrix":
+        char = mathieu_even_solution(m_eff, b).char_number
+    e_theta = params.delta**2 - char / 4.0
     radicand = -e_theta + 2.0 * params.mu * params.B + params.delta**2
     if not radicand > 0.0:
         raise UnboundAngularError(
             f"radicand {radicand:.6g} <= 0: angular eigenvalue {e_theta:.6g} "
             "leaves no bound radial branch"
         )
-    if spec.n_r < 0:
-        raise ValueError(f"radial quantum number must be >= 0, got {spec.n_r}")
     lam = 0.5 + math.sqrt(radicand)
     beta = -params.mu * params.A / (spec.n_r + lam)
     # beta / (2 mu) first: beta^2 underflows below beta ~ 1e-154 where E need not

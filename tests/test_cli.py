@@ -162,6 +162,24 @@ def test_table_tsallis_renyi_csv(capsys):
     assert len([l for l in lines if l and not l.startswith("#")]) == 16
 
 
+def test_table_in_converted_units_exits_1_under_the_series(capsys):
+    # At b = 4 mu D ~ 1e4-2e5 the series is far outside its window and
+    # leaves the first state with no bound radial branch.
+    assert main(["table", "--units", "converted"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: radicand ") and err.count("\n") == 1
+
+
+def test_table_in_converted_units_answers_under_the_matrix(capsys):
+    assert main(["table", "--units", "converted", "--method", "matrix"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (
+        "| n | m | I(Cs2)  | I(Li2)  | I(SiSn) | S(Cs2)  | S(Li2)  | S(SiSn) |"
+    )
+    assert sum(line.startswith("| ") for line in lines[2:]) == 15
+
+
 def test_table_writes_output_file(tmp_path, capsys):
     out_path = tmp_path / "table.csv"
     code = main(["table", "--tables", "2", "--format", "csv",
@@ -297,14 +315,18 @@ def _limited_memory():
     (["--De", "1", "--n", "100000", "--measure", "shannon"], "limit of 8192"),
     (["--De", "1", "--n", "100000", "--mode", "mathieu", "--measure", "fisher"],
      "limit of 8192"),
+    (["--De", "1", "--n", "100", "--q", "1000", "--measure", "wq"], "MiB limit"),
+    (["--De", "1", "--n", "2000", "--measure", "wq"], "MiB limit"),
 ], ids=["shannon-1e14", "shannon-1e300", "renyi-wq-1e30", "renyi-1e30", "wq-1e300",
-        "shannon-n1e5", "mathieu-fisher-n1e5"])
+        "shannon-n1e5", "mathieu-fisher-n1e5", "wq-n100-q1000", "wq-n2000"])
 def test_requests_past_the_numeric_range_exit_1(flags, reason):
     # Shannon's panel rule would lay out 7.1e6 panels at De 1e14 (and
     # overflow its count at 1e300); the W_q closed form's cancelling
     # terms round off past 1e-10 of ln W_q at both larger depths.  At
     # n = 1e5 the Laguerre zeros would take a 74.5 GiB Jacobi matrix
-    # (Shannon's n rows, Fisher's 2 (n + 6)).
+    # (Shannon's n rows, Fisher's 2 (n + 6)).  The gamma0 sum of W_q
+    # would raise a packed integer of about 29 GiB at (q, n) = (1000, 100)
+    # and of 46 MiB at (2, 2000), past its 32 MiB limit.
     argv = [sys.executable, "-m", "kratzer2d.cli", "compute", "--re", "1"] + flags
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
                           preexec_fn=_limited_memory)

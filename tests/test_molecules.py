@@ -14,7 +14,6 @@ from kratzer2d.molecules import (
     HARTREE_PER_EV,
     MoleculePreset,
     get_preset,
-    list_presets,
     load_presets,
     raw_number_params,
     to_atomic_units,
@@ -50,7 +49,7 @@ def test_builtin_preset_fields():
 
 
 def test_list_presets_stable_order():
-    names = [p.name for p in list_presets()]
+    names = list(load_presets())
     assert names == ["SiSn", "Li2", "Cs2"]
 
 
@@ -90,7 +89,7 @@ def test_raw_number_params_passthrough():
 
 
 def test_conversion_round_trip():
-    for preset in list_presets():
+    for preset in load_presets().values():
         params = to_atomic_units(preset)
         assert params.De / HARTREE_PER_EV == pytest.approx(preset.De_eV, rel=1e-12, abs=0)
         assert params.re * BOHR_RADIUS_ANGSTROM == pytest.approx(
@@ -99,7 +98,7 @@ def test_conversion_round_trip():
 
 
 def test_well_depth_ordering_survives_conversion():
-    de = {p.name: to_atomic_units(p).De for p in list_presets()}
+    de = {p.name: to_atomic_units(p).De for p in load_presets().values()}
     assert de["SiSn"] > de["Li2"] > de["Cs2"]
 
 
@@ -123,7 +122,7 @@ def test_override_file_adds_complete_preset(tmp_path):
     preset = get_preset("HCl", override_path=path)
     assert preset.De_eV == 4.6
     assert "override" in preset.mu_note
-    assert [p.name for p in list_presets(path)] == ["SiSn", "Li2", "Cs2", "HCl"]
+    assert list(load_presets(path)) == ["SiSn", "Li2", "Cs2", "HCl"]
 
 
 def test_override_file_rejects_incomplete_new_preset(tmp_path):

@@ -424,9 +424,10 @@ def test_shannon_numeric_increases_with_n(std_params):
     assert values[0] < values[1] < values[2]
 
 
-def test_shannon_numeric_accuracy_error(std_state):
+def test_shannon_numeric_accuracy_error(std_state, monkeypatch):
+    monkeypatch.setattr(oracle, "_SHANNON_TARGET", 1e-18)
     with pytest.raises(AccuracyError):
-        shannon_numeric(std_state, target=1e-18)
+        shannon_numeric(std_state)
 
 
 # ----------------------------------------------------------------- moments

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from kratzer2d import specfun
 from kratzer2d.oracle import _log_gauss_laguerre
 from kratzer2d.specfun import (
     SeriesSingularError,
@@ -27,7 +28,6 @@ from kratzer2d.specfun import (
     TruncationError,
     ValidityWarning,
     digamma,
-    gamma0,
     laguerre,
     log_abs_laguerre,
     log_gamma0,
@@ -490,7 +490,9 @@ def test_gamma0_frozen_values():
         lg, sign = log_gamma0(q, n, lam)
         assert sign == 1.0
         assert lg == pytest.approx(expected, abs=1e-9)
-    assert gamma0(2, 1, 1.9142135623730951) == pytest.approx(3.5268858347e04, rel=1e-9)
+    lg, sign = log_gamma0(2, 1, 1.9142135623730951)
+    assert sign == 1.0
+    assert lg == pytest.approx(math.log(3.5268858347e04), abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [20, 50])
@@ -639,14 +641,28 @@ def test_gamma0_warns_on_heavy_cancellation():
     assert lg == pytest.approx(48.579073610551, abs=1e-9)
 
 
-def test_gamma0_overflow_goes_to_inf():
-    assert gamma0(5, 8, 50.0) == math.inf
-
-
 def test_gamma0_finite_below_the_float64_limit():
     # gamma0(5, 0, 17.3) = Gamma(170) = 169! = 4.27e304: its log, 701.44,
     # is past 700 but below ln(max float) = 709.78.
-    assert gamma0(5, 0, 17.3) == pytest.approx(math.factorial(169), rel=1e-13)
+    lg, sign = log_gamma0(5, 0, 17.3)
+    assert sign == 1.0
+    assert lg == pytest.approx(math.log(math.factorial(169)), rel=0, abs=1e-13)
+
+
+@pytest.mark.parametrize("q, n, lam", [(4, 400, 150.0), (8, 50, 150.0)])
+def test_gamma0_size_limit_keeps_the_largest_documented_sums(q, n, lam, monkeypatch):
+    # The bound on the packed power reads 19.7 MiB at (4, 400) and
+    # 1.25 MiB at (8, 50), under the 32 MiB limit, so the sum gets past
+    # the check to its first mask, which here stops it before any product.
+    class Reached(Exception):
+        pass
+
+    def stop(*args):
+        raise Reached
+
+    monkeypatch.setattr(specfun, "_floor_mask", stop)
+    with pytest.raises(Reached):
+        specfun._gamma0_sum(q, n, lam, specfun._start_bits(q, n, lam))
 
 
 def test_gamma0_rejects_bad_arguments():

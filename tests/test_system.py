@@ -23,7 +23,6 @@ from kratzer2d import (
     StateSpec,
     SystemParams,
     UnboundAngularError,
-    angular_eigenvalue,
     angular_function,
     angular_integrals_numeric,
     density,
@@ -82,27 +81,25 @@ def test_angular_eigenvalue_no_dipole_exact():
         for m in (0, 1, 2):
             expected = delta**2 - (m + delta) ** 2
             for method in ("series", "matrix"):
-                assert angular_eigenvalue(p, m, method) == pytest.approx(
-                    expected, abs=1e-12
-                )
+                state = solve_state(p, StateSpec(0, m), method=method)
+                assert state.e_theta == pytest.approx(expected, abs=1e-12)
     p = make_params(De=1.0, re=1.0)
-    assert angular_eigenvalue(p, 1) == pytest.approx(-1.0, abs=1e-15)
+    assert solve_state(p, StateSpec(0, 1)).e_theta == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_angular_eigenvalue_dipole_frozen(dipole_params):
     # delta^2 - a_{2(m+delta)}(b)/4 at m = 2, b = 0.4; matrix value
     # pinned by the tridiagonal eigensolver, series agrees to ~1e-10.
     for method in ("series", "matrix"):
-        assert angular_eigenvalue(dipole_params, 2, method) == pytest.approx(
-            -4.8010895431, abs=2e-9
-        )
+        state = solve_state(dipole_params, StateSpec(0, 2), method=method)
+        assert state.e_theta == pytest.approx(-4.8010895431, abs=2e-9)
 
 
 def test_angular_eigenvalue_rejects_bad_input(std_params):
-    with pytest.raises(ValueError):
-        angular_eigenvalue(std_params, -1)
-    with pytest.raises(ValueError):
-        angular_eigenvalue(std_params, 1, method="magic")
+    with pytest.raises(ValueError, match="angular order m"):
+        solve_state(std_params, StateSpec(0, -1))
+    with pytest.raises(ValueError, match="unknown characteristic-number method"):
+        solve_state(std_params, StateSpec(0, 1), method="magic")
 
 
 # ------------------------------------------------------------ solved states
@@ -188,7 +185,7 @@ def test_solve_state_method_follows_the_mode(dipole_params):
     state = solve_state(dipole_params, spec, mode=mathieu)
     assert state.method == "matrix"
     assert state.params is dipole_params
-    assert state.e_theta == angular_eigenvalue(dipole_params, 2, "matrix")
+    assert state.e_theta == solve_state(dipole_params, StateSpec(0, 2), method="matrix").e_theta
     with pytest.raises(ValueError, match="Mathieu mode"):
         solve_state(dipole_params, spec, mode=mathieu, method="series")
 
@@ -200,7 +197,15 @@ def test_series_falls_back_to_the_matrix_where_it_is_singular(delta):
     state = solve_state(p, StateSpec(0, 0))
     assert state.method == "matrix"
     assert state == solve_state(p, StateSpec(0, 0), method="matrix")
-    assert angular_eigenvalue(p, 0) == angular_eigenvalue(p, 0, "matrix") == state.e_theta
+    explicit = solve_state(p, StateSpec(1, 0), method="series")
+    assert (explicit.method, explicit.e_theta) == ("matrix", state.e_theta)
+
+
+def test_solve_state_refuses_a_negative_radial_number_before_solving():
+    # This state has no bound branch either; the quantum number is refused first.
+    p = make_params(De=0.01, re=1.0, Dm=1.0)
+    with pytest.raises(ValueError, match="radial quantum number"):
+        solve_state(p, StateSpec(-1, 0), method="matrix")
 
 
 def test_unbound_angular_error():

@@ -5,11 +5,12 @@ a 25 s benchmark run executes goes through ``kratzer2d.cli.main`` in this
 process (the paper-tables cycles' ``trends`` requests through
 ``validation.check_trends``, as benchmarks/run.py runs them).  Then
 ``check_trends``, ``validate``, ``table --tables 1|2`` in markdown and
-csv, and ``table --units converted`` run once.  Each request prints one
-line: its argv, its exit code, and the sha256 of its stdout and of its
-stderr.  After the last request one summary line goes to stderr: the
-request count and the count of each exit code.  The requests come from
-benchmarks/workloads.py, which is only imported.
+csv, and ``table --units converted`` under the series and the matrix
+run once.  Each request prints one line: its argv, its exit code, and
+the sha256 of its stdout and of its stderr.  After the last request one
+summary line goes to stderr: the request count and the count of each
+exit code.  The requests come from benchmarks/workloads.py, which is
+only imported.
 
 Two trees answer the same way when their stdout diffs empty:
 
@@ -46,6 +47,7 @@ EXTRA = (
     ("table", "--tables", "1", "--format", "csv"),
     ("table", "--tables", "2", "--format", "csv"),
     ("table", "--units", "converted"),
+    ("table", "--units", "converted", "--method", "matrix"),
     # extreme scales: beta^2 subnormal, mu at 1e-300, a coupling past the matrix limit
     ("compute", "--De", "1e-160", "--re", "1", "--m", "1", "--measure", "shannon,renyi"),
     ("compute", "--De", "1e-160", "--re", "1", "--m", "1", "--measure", "shannon,renyi",
