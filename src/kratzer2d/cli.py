@@ -9,6 +9,15 @@ validation failure, 2 usage error.
 :func:`kratzer2d.validation.evaluate` is the one place that routes a
 measure to its closed form or to the oracle; ``compute``, ``sweep`` and
 ``table`` only solve states and format what it returns.
+
+How argv is read: a subcommand followed only by exact ``--flag value``
+pairs of its own store options, each value one that its flag's type and
+choices take and none starting with "-", with no required flag missing,
+is read by :func:`_read_flags` from a table of the subcommand parser's
+actions, built once with the parser; it gives the namespace that argparse
+would.  Any other argv (``--config``, ``-h``, an ``=`` form, an
+abbreviated or unknown flag, an odd token count, a bad value) goes to
+argparse as it is, so every error, usage and help text is argparse's.
 """
 
 from __future__ import annotations
@@ -396,6 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's name and its parser."""
+    return next(action.choices
+                for action in parser._subparsers._group_actions  # noqa: SLF001
+                if isinstance(action, argparse._SubParsersAction))  # noqa: SLF001
+
+
 def _config_token(value) -> str:
     """A JSON value as a flag's text: a list becomes a comma list."""
     return ",".join(map(str, value)) if isinstance(value, list) else str(value)
@@ -412,9 +428,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     choices, and the same flag given later on the command line wins.  A null
     entry leaves its flag at the default.  The parser itself is left as it is.
     """
-    subparsers = next(action.choices
-                      for action in parser._subparsers._group_actions  # noqa: SLF001
-                      if isinstance(action, argparse._SubParsersAction))  # noqa: SLF001
+    subparsers = _subcommands(parser)
     command = next((i for i, token in enumerate(argv) if token in subparsers
                     and (i == 0 or argv[i - 1] != "--config")), len(argv))
     path = None
@@ -445,22 +459,72 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     return argv[:command + 1] + given + argv[command + 1:]
 
 
-# The parser of every main() call in this process, built on the first one.
-# Nothing changes it after that: --config values go into argv instead.
+def _flag_tables(parser: argparse.ArgumentParser) -> dict[str, tuple]:
+    """For each subcommand, read off its parser's actions: its store
+    options by option string, the namespace of defaults that parsing
+    no flag at all gives (top-level ones included), and the actions that
+    it requires."""
+    top = {action.dest: action.default for action in parser._actions  # noqa: SLF001
+           if action.default is not argparse.SUPPRESS}
+    tables = {}
+    for name, sub in _subcommands(parser).items():
+        actions = sub._actions  # noqa: SLF001
+        stores = {flag: action for action in actions
+                  if type(action) is argparse._StoreAction  # noqa: SLF001
+                  for flag in action.option_strings}
+        defaults = {**top, "command": name}
+        defaults.update((action.dest, action.default) for action in actions
+                        if action.default is not argparse.SUPPRESS)
+        tables[name] = stores, defaults, {action for action in actions if action.required}
+    return tables
+
+
+def _read_flags(tables: dict[str, tuple], argv: list[str]) -> argparse.Namespace | None:
+    """The namespace that the parser gives argv, where argv is a subcommand
+    followed only by exact ``--flag value`` pairs of its store options, each
+    value a valid one that does not start with "-", and no required flag
+    missing.  Any other argv gives None and is left to the parser."""
+    table = tables.get(argv[0]) if len(argv) % 2 else None
+    if table is None:
+        return None
+    stores, defaults, required = table
+    values, seen = dict(defaults), set()
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        action = stores.get(flag)
+        if action is None or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    return argparse.Namespace(**values) if required <= seen else None
+
+
+# The parser of every main() call in this process and _flag_tables of it,
+# built on the first call.  Nothing changes them after that: --config
+# values go into argv instead.
 _PARSER: argparse.ArgumentParser | None = None
+_FLAGS: dict[str, tuple] = {}
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _PARSER
+    global _PARSER, _FLAGS
     argv = sys.argv[1:] if argv is None else list(argv)
     if _PARSER is None:
         _PARSER = build_parser()
+        _FLAGS = _flag_tables(_PARSER)
     parser = _PARSER
     # Looked up per call, so the module's current cmd_* functions run.
     commands = {"compute": cmd_compute, "table": cmd_table,
                 "sweep": cmd_sweep, "validate": cmd_validate}
     try:
-        args = parser.parse_args(_apply_config(parser, argv))
+        args = _read_flags(_FLAGS, argv)
+        if args is None:
+            args = parser.parse_args(_apply_config(parser, argv))
         return commands[args.command](parser, args)
     except KeyError as exc:
         detail = exc.args[0] if exc.args else exc

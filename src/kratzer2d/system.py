@@ -182,7 +182,8 @@ def solve_state(
     Then lambda = 1/2 + sqrt(-E_theta + 2 mu B + delta^2) and
     beta = -mu A / (n_r + lambda) (1/bohr); a radicand that is not
     positive (NaN included) leaves no bound radial branch and raises
-    UnboundAngularError.
+    UnboundAngularError.  A lambda or beta that overflows raises
+    OverflowError, and a beta that underflows to 0 raises ValueError.
     """
     if spec.m < 0:
         raise ValueError(f"angular order m must be >= 0, got {spec.m}")
@@ -210,7 +211,14 @@ def solve_state(
             "leaves no bound radial branch"
         )
     lam = 0.5 + math.sqrt(radicand)
+    if lam == math.inf:
+        raise OverflowError(
+            f"lambda = 1/2 + sqrt(radicand) overflows at radicand {radicand:.6g}")
     beta = -params.mu * params.A / (spec.n_r + lam)
+    if not beta < math.inf:
+        raise OverflowError(f"beta = -mu A / (n_r + lambda) overflows to {beta:.6g}")
+    if not beta > 0.0:
+        raise ValueError(f"beta = -mu A / (n_r + lambda) underflows to {beta:.6g}")
     # beta / (2 mu) first: beta^2 underflows below beta ~ 1e-154 where E need not
     return SolvedState(
         spec=spec,

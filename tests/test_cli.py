@@ -8,6 +8,7 @@ since reproducible output is part of the interface contract.
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -298,6 +299,25 @@ def test_nan_radicand_exits_1(capsys):
     assert err.startswith("error: radicand nan") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags, reason", [
+    (["--De", "2.66e281", "--re", "5.7e67", "--mu", "1.94e8", "--n", "20", "--m", "1",
+      "--delta", "2.29", "--measure", "energy,fisher"],
+     "lambda = 1/2 + sqrt(radicand) overflows"),
+    (["--De", "1e300", "--re", "1e-100", "--mu", "1e150", "--m", "1", "--measure", "energy"],
+     "beta = -mu A / (n_r + lambda) overflows"),
+    (["--De", "1e-300", "--re", "1e-150", "--mu", "1e-150", "--m", "1", "--measure", "energy"],
+     "beta = -mu A / (n_r + lambda) underflows"),
+], ids=["lambda-inf", "beta-inf", "beta-0"])
+def test_lambda_or_beta_outside_the_double_range_exits_1(flags, reason, capsys):
+    # An infinite lambda once printed lambda=inf beta=nan and E=nan with
+    # exit 0, and a beta that underflows to 0 a bare "math domain error"
+    # from ln N^2.
+    assert main(["compute"] + flags) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {reason}") and err.count("\n") == 1
+
+
 def _limited_memory():
     # 1 GB of address space: a layout past the panel or row limit fails
     # with MemoryError instead of taking the machine's memory.
@@ -551,6 +571,106 @@ def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
         assert main(argv) == 0
     assert len(built) <= 1
     capsys.readouterr()
+
+
+def _parsed(parser, argv):
+    """The parser's own reading of argv: the repr of its namespace (NaN-aware,
+    since repr prints nan alike), or its exit code."""
+    try:
+        return repr(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def _fuzzed_argv(rng, parser):
+    """A subcommand (now and then none) and up to five flags, each with a
+    value that its flag takes or one that tests the edges of argv reading."""
+    subcommands = kratzer2d.cli._subcommands(parser)
+    name = rng.choice(list(subcommands) + ["--config", "bogus"])
+    actions = [a for a in subcommands.get(name, parser)._actions if a.option_strings]
+    argv = [name]
+    for _ in range(rng.randrange(6)):
+        action = rng.choice(actions)
+        flag = action.option_strings[-1]
+        value = (str(rng.choice(action.choices)) if action.choices
+                 else rng.choice(["1", "2", "0.5", "3", "energy", "Cs2", "0.1,0.2"]))
+        if rng.random() < 0.3:
+            value = rng.choice(["-1", "-0.5", "", "x", "nan", "inf", "1e400", " 5", "1_0",
+                                "1.5", "-", "--", "--De", "fisher,renyi", "cosine", "De"])
+        kind = rng.random()
+        if kind < 0.05:
+            argv.append(f"{flag}={value}")
+        elif kind < 0.1:
+            argv += [flag[:-1], value]  # an abbreviation, or "-" from "-h"
+        elif kind < 0.13:
+            argv += ["--bogus", value]
+        else:
+            argv += [flag, value]
+    if len(argv) > 1 and rng.random() < 0.1:
+        del argv[rng.randrange(1, len(argv))]  # an odd token count
+    return argv
+
+
+def test_the_flag_reader_gives_the_parsers_namespace_or_leaves_argv_to_it(capsys):
+    # Flag orders, repeated flags, "=" forms, abbreviations, values that are
+    # negative, empty or not numbers, and odd token counts: wherever the
+    # reader answers, the parser gives the same namespace; a namespace for
+    # an argv that the parser refuses fails here.
+    parser = kratzer2d.cli.build_parser()
+    tables = kratzer2d.cli._flag_tables(parser)
+    rng = random.Random(5)
+    read = refused = 0
+    for _ in range(4000):
+        argv = _fuzzed_argv(rng, parser)
+        args = kratzer2d.cli._read_flags(tables, argv)
+        parsed = _parsed(parser, argv)
+        if args is not None:
+            read += 1
+            assert repr(args) == parsed, argv
+        refused += isinstance(parsed, int)
+    capsys.readouterr()
+    assert read > 400 and refused > 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--De", "2.5", "--re", "1.5", "--n", "3", "--m", "1", "--delta", "0.2",
+     "--measure", "renyi", "--q", "3"],
+    ["sweep", "--var", "De", "--from", "1", "--to", "2", "--steps", "3", "--n", "1",
+     "--D", "0.3", "--measure", "tsallis", "--q", "2"],
+    ["table", "--tables", "2", "--format", "csv"],
+    ["validate", "--checks", "renyi-limit"],
+], ids=lambda argv: argv[0])
+def test_a_well_formed_request_skips_the_parser(argv, monkeypatch, capsys):
+    main(["compute", "--De", "1", "--re", "1", "--measure", "energy"])  # build the parser
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_args called")
+
+    monkeypatch.setattr(kratzer2d.cli._PARSER, "parse_args", refuse)
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--bogus", "1"],
+    ["compute", "--De=1", "--re", "1"],
+    ["compute", "--De", "1", "--re", "1", "--mea", "energy"],
+    ["compute", "--De", "-1", "--re", "1"],
+    ["compute", "--De", "1", "--re", "1", "--n", "1.5"],
+    ["compute", "-h"],
+], ids=["unknown", "equals-form", "abbreviation", "negative", "bad-type", "help"])
+def test_any_other_request_gets_the_parsers_own_answer(argv, monkeypatch, capsys):
+    def answer():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code,) + tuple(capsys.readouterr())
+
+    answered = answer()
+    assert kratzer2d.cli._read_flags(kratzer2d.cli._FLAGS, argv) is None
+    monkeypatch.setattr(kratzer2d.cli, "_read_flags", lambda tables, argv: None)
+    assert answered == answer()
 
 
 def test_config_key_naming_no_flag_exits_1(tmp_path, capsys):

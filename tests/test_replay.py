@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from kratzer2d import cli
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "replay.py"
 
 
@@ -37,3 +39,25 @@ def test_report_prints_the_lines_then_a_summary_on_stderr(replay_tool, capsys):
     out, err = capsys.readouterr()
     assert out.splitlines() == list(replay_tool.replay(requests))
     assert err == "4 requests: rc=0 2, rc=1 1, rc=2 1\n"
+
+
+def test_the_flag_reader_reads_every_workload_request_as_the_parser_does(replay_tool, capsys):
+    # Every benchmark request takes the reader's path and gets the parser's
+    # namespace (compared by repr, where nan equals nan); EXTRA's requests
+    # either do the same or are left to the parser.
+    parser = cli.build_parser()
+    tables = cli._flag_tables(parser)
+    workload = [argv for name in replay_tool.WORKLOADS
+                for argv in replay_tool.workload_requests(name, 3)
+                if argv != replay_tool.TRENDS]
+    extra = [argv for argv in replay_tool.EXTRA if argv != replay_tool.TRENDS]
+    left = 0
+    for argv in workload + extra:
+        args = cli._read_flags(tables, list(argv))
+        if args is None:
+            assert argv in extra, argv
+            left += 1
+            continue
+        assert repr(args) == repr(parser.parse_args(list(argv))), argv
+    assert left == 6  # EXTRA's argv that only argparse reads
+    capsys.readouterr()

@@ -6,7 +6,8 @@ process (the paper-tables cycles' ``trends`` requests through
 ``validation.check_trends``, as benchmarks/run.py runs them).  Then
 ``check_trends``, ``validate``, ``table --tables 1|2`` in markdown and
 csv, and ``table --units converted`` under the series and the matrix
-run once.  Each request prints one line: its argv, its exit code, and
+run once, with argv at the edges of the numeric range and of argv
+reading.  Each request prints one line: its argv, its exit code, and
 the sha256 of its stdout and of its stderr.  After the last request one
 summary line goes to stderr: the request count and the count of each
 exit code.  The requests come from benchmarks/workloads.py, which is
@@ -70,6 +71,18 @@ EXTRA = (
      "--m", "1", "--mode", "mathieu", "--measure", "wq,tsallis,renyi", "--q", "3"),
     ("compute", "--De", "0.75", "--re", "2", "--D", "0.3", "--delta", "0.2", "--n", "2",
      "--m", "1", "--mode", "mathieu", "--measure", "wq,tsallis,renyi", "--q", "3"),
+    # lambda past the double range, and beta under it
+    ("compute", "--De", "2.66e281", "--re", "5.7e67", "--mu", "1.94e8", "--n", "20",
+     "--m", "1", "--delta", "2.29", "--measure", "energy,fisher"),
+    ("compute", "--De", "1e-300", "--re", "1e-150", "--mu", "1e-150", "--m", "1",
+     "--measure", "energy"),
+    # argv that only argparse reads: its errors and help text
+    ("compute", "--bogus", "1"),
+    ("compute", "--De=1", "--re", "1"),
+    ("compute", "--De", "1", "--re", "1", "--mea", "energy"),
+    ("compute", "--De", "-1", "--re", "1"),
+    ("compute", "--De", "1", "--re", "1", "--n", "1.5"),
+    ("compute", "-h"),
 )
 
 
