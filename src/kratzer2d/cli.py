@@ -444,9 +444,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     if not isinstance(config, dict):
         raise ValueError("--config must hold a JSON object of flag values")
     config = {str(k).replace("-", "_"): v for k, v in config.items()}
-    # each subcommand's flags by destination
+    # each subcommand's flags by destination; -h/--help takes no value
     flags = {name: {a.dest: a.option_strings[-1]
-                    for a in sub._actions if a.option_strings}  # noqa: SLF001
+                    for a in sub._actions  # noqa: SLF001
+                    if a.option_strings
+                    and not isinstance(a, argparse._HelpAction)}  # noqa: SLF001
              for name, sub in subparsers.items()}
     unknown = sorted(set(config).difference(*flags.values()))
     if unknown:

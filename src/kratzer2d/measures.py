@@ -95,9 +95,18 @@ def fisher_closed(solved: SolvedState) -> FisherResult:
     """
     n, m = solved.spec.n_r, solved.spec.m
     lam, beta = solved.lam, solved.beta
-    bsq = beta * beta
-    i1 = 2.0 * bsq * (2.0 * n + 1.0) / (n + lam)
-    i2 = 8.0 * m * m * bsq / ((n + lam) * (2.0 * lam - 1.0)) if m else 0.0
+    # beta, n + lam and 2 lam - 1 enter as frexp mantissas, their powers of
+    # two added apart: beta^2 passes the double range from beta ~ 1.3e154
+    # and (n + lam)(2 lam - 1) from lam ~ 1e154, where I need not.  Scaling
+    # by a power of two is exact, so wherever the plain products stay
+    # normal doubles the values are theirs to the bit.
+    b, e = math.frexp(beta)
+    i1 = math.ldexp(2.0 * (b * b) * (2.0 * n + 1.0) / (n + lam), 2 * e)
+    i2 = 0.0
+    if m:
+        d1, k1 = math.frexp(n + lam)
+        d2, k2 = math.frexp(2.0 * lam - 1.0)
+        i2 = math.ldexp(8.0 * m * m * (b * b) / (d1 * d2), 2 * e - k1 - k2)
     return FisherResult(i1 + i2, i1, i2)
 
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .measures import EntropicMoment, FisherResult
 from .system import ANGULAR_GRID, SolvedState
-from .specfun import _laguerre_scaled, eigh_tridiagonal, log_abs_laguerre
+from .specfun import _laguerre_scaled, _tridiagonal_eigh, log_abs_laguerre
 
 __all__ = [
     "AccuracyError",
@@ -114,6 +114,22 @@ def _log_gauss_laguerre(alpha: float, K: int) -> tuple[np.ndarray, np.ndarray, f
     return nodes, log_w - np.max(log_w), math.lgamma(alpha + 1.0)
 
 
+@lru_cache(maxsize=1)
+def _profile_grid(profile) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi, Phi') of ``profile`` on the ANGULAR_GRID-node grid, read-only.
+
+    Keyed by the profile object and kept for the last profile only
+    (128 KiB), so a state whose orders are asked for one after another
+    samples its grid once, and a profile rebuilt after
+    ``angular_profile.cache_clear()`` samples its own.  The first grid of
+    a profile also fixes its pi-normalisation.
+    """
+    phi, dphi = profile._on_grid(ANGULAR_GRID)
+    phi.flags.writeable = False
+    dphi.flags.writeable = False
+    return phi, dphi
+
+
 def angular_integrals_numeric(solved: SolvedState, q: float = 2.0) -> AngularIntegrals:
     """Trapezoid sums of the angular integrals on a uniform grid over one turn.
 
@@ -129,21 +145,22 @@ def angular_integrals_numeric(solved: SolvedState, q: float = 2.0) -> AngularInt
     a profile of integer order keeps the plain sum, the closer one there.
 
     The result is stored on the cached profile under float(q) and
-    returned from there on later calls, so each (profile, q) takes one
-    grid; Fisher and Shannon use only some of the four sums, but taking
-    them apart would cost more grids than the unused sums do.  A profile
+    returned from there on later calls, so each (profile, q) is summed
+    once; Fisher and Shannon use only some of the four sums, but taking
+    them apart would cost more passes than the unused sums do.  A profile
     depends on (m + delta, b) alone (on m alone in cosine mode), so states
     that differ only in De, re or mu share it and its sums, and so do the
-    two modes where they name the same function.  It fixes its
-    pi-normalisation from the first of these grids, so a profile asked
-    for k orders samples exactly k grids.
+    two modes where they name the same function.  The sums read the
+    grid of ``_profile_grid``, which keeps the last profile's, so the
+    orders of one state asked for in a row sample one grid; a profile
+    asked for k orders samples at most k grids.
     """
     profile = solved.profile
     key = float(q)
     if key in profile.integrals:
         return profile.integrals[key]
     h = 2.0 * math.pi / ANGULAR_GRID
-    phi, dphi = profile._on_grid(ANGULAR_GRID)
+    phi, dphi = _profile_grid(profile)
     phi_sq = phi * phi
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(phi_sq > 1e-300, phi_sq * np.log(phi_sq), 0.0)
@@ -497,9 +514,7 @@ def radial_fd_eigen(top: SolvedState) -> list[float]:
         r = h * np.arange(1, points + 1)
         diag = 2.0 / (h * h) + c2 / (r * r) + two_mu_a / r
         off = np.full(points - 1, -1.0 / (h * h))
-        return eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, top_n), eigvals_only=True
-        )
+        return _tridiagonal_eigh(diag, off, 0, top_n, vectors=False)
 
     coarse, mid, fine = (spectrum(points) for points in (2001, 4001, 8003))
     extrap = (4.0 * fine - mid) / 3.0

@@ -1,21 +1,23 @@
 """Self-contained special functions for the 2D Kratzer-dipole solver.
 
-Everything here is a pure function of its arguments, in float64
-unless stated.  Digamma uses an upward recurrence shift to x >= 8
-followed by its asymptotic expansion; ln Gamma is the standard
-library's math.lgamma.  The fractional-order Mathieu characteristic
-number comes in two independent flavours: the truncated power series in
-the coupling ``b`` and a symmetric tridiagonal eigenproblem that serves
-as its cross-check.  ``gamma0`` evaluates the terminating
-Lauricella-type coefficient that linearises even powers of Laguerre
-polynomials.  Its terms overflow float64 and cancel by about q n
-decimal digits, so its alternating core is summed in fixed point on
-Python integers: the polynomial is raised with every coefficient
-nonnegative, packed into one integer and floored slot by slot, at a
-precision chosen from (q, n, lam) before the sum and confirmed after it
-by a proven bound on the rounding, weighted coefficient by coefficient
-(the sum is redone at a higher precision if the bound is not met).  The
-result is reported in log-magnitude/sign form.
+Everything here is a pure function of its arguments, in float64 unless
+stated.  Digamma uses an upward recurrence shift to x >= 8 followed by
+its asymptotic expansion; ln Gamma is the standard library's
+math.lgamma.  The fractional-order Mathieu characteristic number comes
+in two independent flavours: the truncated power series in the coupling
+``b`` and a symmetric tridiagonal eigenproblem that serves as its
+cross-check, solved by LAPACK's dstebz and dstein called directly
+(scipy, the package's only use of it, is imported on the first solve).
+``gamma0`` evaluates the terminating Lauricella-type coefficient that
+linearises even powers of Laguerre polynomials.  Its terms overflow
+float64 and cancel by about q n decimal digits, so its alternating core
+is summed in fixed point on Python integers: the polynomial is raised
+with every coefficient nonnegative, packed into one integer and floored
+slot by slot, at a precision chosen from (q, n, lam) before the sum and
+confirmed after it by a proven bound on the rounding, weighted
+coefficient by coefficient (the sum is redone at a higher precision if
+the bound is not met).  The result is reported in log-magnitude/sign
+form.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -53,17 +56,48 @@ class ValidityWarning(UserWarning):
     """Characteristic-number series used outside its documented coupling range."""
 
 
-def eigh_tridiagonal(*args, **kwargs):
-    """scipy.linalg.eigh_tridiagonal, the package's one use of scipy.
+@cache
+def _lapack_pair():
+    """LAPACK's dstebz and dstein from scipy, imported on the first call.
 
-    scipy is imported here, on the first call: the import takes about
-    0.3 s (2-vCPU x86 VM), a thousand closed-form answers.  Only the
-    Mathieu matrix route and the oracle's finite-difference spectrum
-    call this, so a process that asks for neither never loads scipy.
+    The import takes about 0.3 s (2-vCPU x86 VM), a thousand closed-form
+    answers.  Only the Mathieu matrix route and the oracle's
+    finite-difference spectrum solve a tridiagonal eigenproblem, so a
+    process that asks for neither never loads scipy.
     """
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dstebz, dstein
 
-    return eigh_tridiagonal(*args, **kwargs)
+    return dstebz, dstein
+
+
+def _tridiagonal_eigh(diag, off, first: int, last: int, vectors: bool = True):
+    """Eigenvalues of ranks first..last (0-based, ascending) of the symmetric
+    tridiagonal matrix with diagonal ``diag`` and off-diagonal ``off``, and
+    with ``vectors`` their unit eigenvectors as columns.
+
+    The two LAPACK calls that scipy.linalg.eigh_tridiagonal makes for
+    select="i", with its arguments: bisection (dstebz, il and iu 1-based,
+    tolerance 0) and, for the vectors, inverse iteration (dstein), whose
+    block-ordered columns are sorted by eigenvalue.  So the results are
+    that function's to the bit, without the Python around its calls.  A
+    non-finite entry raises ValueError, as scipy's check_finite does, and
+    a nonzero LAPACK info raises np.linalg.LinAlgError.
+    """
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("tridiagonal eigenproblem: array must not contain infs or NaNs")
+    dstebz, dstein = _lapack_pair()
+    count, vals, block, split, info = dstebz(diag, off, 2, 0.0, 1.0, first + 1, last + 1,
+                                             0.0, "B" if vectors else "E")
+    if info:
+        raise np.linalg.LinAlgError(f"dstebz failed (LAPACK info = {info})")
+    vals = vals[:count]
+    if not vectors:
+        return vals
+    vecs, info = dstein(diag, off, vals, block, split)
+    if info:
+        raise np.linalg.LinAlgError(f"dstein failed (LAPACK info = {info})")
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 # B_{2j} / (2j) for j = 1..7: coefficients of y^-2j in the expansion of
@@ -271,9 +305,11 @@ def mathieu_char_matrix(m_eff: float, b: float, K: int) -> MathieuEvenSolution:
     eigenvalue of the same rank.  At integer nu, k = 0 and k = -nu tie at
     nu^2 (a_nu and b_nu, equal to rounding at small b); of that pair the
     vector with the larger overlap on the symmetric seed is kept, signed
-    so the overlap is positive.  Raises TruncationError, before any array
-    is built, when 2K + 1 passes _MAX_ROWS, and when the Fourier tail
-    |c_(+-K)| has not decayed below 1e-12 of the largest coefficient.
+    so the overlap is positive.  The rank-selected pair comes from
+    _tridiagonal_eigh.  Raises TruncationError, before any array is
+    built, when 2K + 1 passes _MAX_ROWS, when LAPACK reports a failed
+    eigensolve, and when the Fourier tail |c_(+-K)| has not decayed below
+    1e-12 of the largest coefficient.
     """
     m_eff = float(m_eff)
     b = float(b)
@@ -296,9 +332,9 @@ def mathieu_char_matrix(m_eff: float, b: float, K: int) -> MathieuEvenSolution:
     tied = np.flatnonzero(seed)
     first = int(np.count_nonzero(diag < diag[tied].min()))
     try:
-        vals, vecs = eigh_tridiagonal(diag, np.full(size - 1, b), select="i",
-                                      select_range=(first, first + tied.size - 1))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        vals, vecs = _tridiagonal_eigh(diag, np.full(size - 1, b), first,
+                                       first + tied.size - 1)
+    except np.linalg.LinAlgError as exc:
         raise TruncationError(f"eigensolve failed for K = {K}: {exc}") from exc
     overlap = vecs.T @ seed
     best = int(np.argmax(np.abs(overlap)))

@@ -305,7 +305,8 @@ class _MathieuProfile:
         c_l sin(l theta_j) (``_cos_sin_sums``), with c_l (f + l) for Phi',
         combined with cos(f theta_j) and sin(f theta_j).  No array here is
         complex at length n, so none reaches 128 KiB at ANGULAR_GRID
-        nodes.  The grid is not kept on the profile.
+        nodes.  The grid is not kept on the profile; the oracle keeps the
+        last profile's ANGULAR_GRID grid for the angular sums of its orders.
         """
         whole = math.floor(self.carrier)
         slots = (whole + self.k) % n

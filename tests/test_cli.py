@@ -683,6 +683,26 @@ def test_config_key_naming_no_flag_exits_1(tmp_path, capsys):
     assert captured.err == "error: --config keys ['nn'] name no flag of any subcommand\n"
 
 
+def test_config_help_key_names_no_flag(tmp_path, capsys):
+    # -h/--help is an action, not a flag with a value: a config file
+    # cannot set it, and says so as for any other unknown key.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"help": True}))
+    code = main(["--config", str(cfg), "compute", "--De", "1", "--re", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --config keys ['help'] name no flag of any subcommand\n"
+
+
+def test_fisher_past_the_square_of_beta_prints_a_finite_value(capsys):
+    argv = ["compute", "--De", "1.81e239", "--re", "6.68e-17", "--mu", "9.72e70",
+            "--n", "8", "--delta", "0.75", "--measure", "fisher"]
+    assert main(argv) == 0
+    assert ("fisher: I=9.547504512e+172 (radial I1=9.547504512e+172, angular I2=0; "
+            "closed form)") in capsys.readouterr().out
+
+
 def test_config_abbreviation_is_a_usage_error(tmp_path, capsys):
     # The top-level parser takes no abbreviations, so --conf is not read
     # as --config, and the file is not skipped without a word either.

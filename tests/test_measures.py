@@ -87,6 +87,25 @@ def test_fisher_m0_answers_where_lambda_rounds_to_one_half():
     assert fisher.I2 == 0.0
 
 
+def test_fisher_closed_stays_finite_where_beta_squared_overflows():
+    # beta = 1.9e155: beta^2 overflows, I = 9.5e172 does not.
+    s = solve_state(make_params(De=1.81e239, re=6.68e-17, delta=0.75, mu=9.72e70),
+                    StateSpec(8, 0))
+    assert s.beta * s.beta == math.inf
+    assert fisher_closed(s).I == pytest.approx(9.547504512e172, rel=1e-9)
+
+
+def test_fisher_angular_share_survives_an_overflowing_denominator():
+    # At lambda = beta = 1.1e154 both 2 beta^2 and (n + lam)(2 lam - 1) pass
+    # the double range, which left I1 = inf and I2 = inf / inf = nan; the
+    # exact I2 is 4 m^2 beta^2 / lam^2 to rounding.
+    s = solve_state(make_params(De=6e307, re=1.0), StateSpec(2, 1))
+    assert (2.0 + s.lam) * (2.0 * s.lam - 1.0) == math.inf
+    fisher = fisher_closed(s)
+    assert fisher.I2 == pytest.approx(4.0 * (s.beta / s.lam) ** 2, rel=1e-12)
+    assert fisher.I == pytest.approx(10.0 * s.beta, rel=1e-12)
+
+
 def test_fisher_closed_equals_quadrature():
     # Spot grid (the acceptance suite runs the full one): excited
     # states are where a wrong cross term would show up first.

@@ -7,6 +7,7 @@ spectrum it is meant to police (agreement here is what licenses using
 it as the arbiter elsewhere).
 """
 
+import dataclasses
 import inspect
 import math
 
@@ -209,8 +210,8 @@ def grids(monkeypatch):
 def test_angular_integrals_are_taken_once_per_profile_and_order(dipole_params, grids,
                                                                 monkeypatch):
     # Fisher (its q = 2 sums), then W_q, Tsallis and Renyi at q = 3, each
-    # asked for alone: one grid per order, the first of which also
-    # normalises the profile.
+    # asked for alone: one sum per order, and one grid for both orders,
+    # which also normalises the profile.
     returned = []
     integrals = oracle.angular_integrals_numeric
 
@@ -224,7 +225,7 @@ def test_angular_integrals_are_taken_once_per_profile_and_order(dipole_params, g
     for measure in ("fisher", "wq", "tsallis", "renyi"):
         evaluate(state, [measure], 3)
     assert len(returned) == 4
-    assert grids == [system.ANGULAR_GRID] * 2
+    assert grids == [system.ANGULAR_GRID]
     for args, kwargs, ints in returned:
         system.angular_profile.cache_clear()
         seen = len(grids)
@@ -232,10 +233,10 @@ def test_angular_integrals_are_taken_once_per_profile_and_order(dipole_params, g
         assert len(grids) > seen  # a cleared cache takes the grid again
 
 
-@pytest.mark.parametrize("q, expected", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("q, expected", [(2, 1), (3, 1)])
 def test_mathieu_profile_samples_one_grid_per_order(dipole_params, grids, q, expected):
     # Building the profile samples no grid; Fisher's q = 2 sums fix the
-    # scale from their own grid, and only a further order takes another.
+    # scale from their own grid, and a further order reads the same grid.
     system.angular_profile.cache_clear()
     state = solve_state(dipole_params, StateSpec(2, 2), mode=AngularMode.MATHIEU_NUMERIC)
     assert state.profile is state.profile
@@ -243,6 +244,32 @@ def test_mathieu_profile_samples_one_grid_per_order(dipole_params, grids, q, exp
     for measure in ("fisher", "wq", "tsallis", "renyi"):
         evaluate(state, [measure], q)
     assert grids == [system.ANGULAR_GRID] * expected
+
+
+def test_a_profile_asked_again_after_another_samples_its_grid_again(dipole_params, grids):
+    # The oracle keeps the last profile's grid only: Fisher of A, Fisher of
+    # B, then W_q of A at q = 3 take three grids, and A's sums are a cold
+    # run's to the bit.
+    mathieu = AngularMode.MATHIEU_NUMERIC
+    first = solve_state(dipole_params, StateSpec(2, 2), mode=mathieu)
+    other = solve_state(dipole_params, StateSpec(1, 1), mode=mathieu)
+    assert first.profile is not other.profile
+    system.angular_profile.cache_clear()
+    cold = {q: angular_integrals_numeric(first, q) for q in (2.0, 3.0)}
+    system.angular_profile.cache_clear()
+    grids.clear()
+    fisher = angular_integrals_numeric(first)
+    angular_integrals_numeric(other)
+    wq = angular_integrals_numeric(first, q=3.0)
+    assert grids == [system.ANGULAR_GRID] * 3
+    assert (fisher, wq) == (cold[2.0], cold[3.0])
+
+
+def test_profile_grid_is_read_only(dipole_params):
+    state = solve_state(dipole_params, StateSpec(2, 2), mode=AngularMode.MATHIEU_NUMERIC)
+    for row in oracle._profile_grid(state.profile):
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
 
 
 def test_cosine_profile_is_shared_by_parameter_sets_of_equal_m(std_params, dipole_params):
@@ -688,6 +715,22 @@ def test_fd_spectrum_box_holds_the_top_level_of_a_deep_well(params, m):
     fd = radial_fd_eigen(solve_state(params, StateSpec(9, m)))
     for n, fd_energy in enumerate(fd):
         assert fd_energy == pytest.approx(solve_state(params, StateSpec(n, m)).energy, rel=1e-6)
+
+
+def test_fd_spectrum_equals_the_eigh_tridiagonal_route_to_the_bit(dipole_state, monkeypatch):
+    # dstebz called directly gives scipy.linalg.eigh_tridiagonal's values.
+    from scipy.linalg import eigh_tridiagonal
+
+    direct = radial_fd_eigen(dipole_state)
+    monkeypatch.setattr(oracle, "_tridiagonal_eigh", lambda d, e, first, last, vectors: (
+        eigh_tridiagonal(d, e, select="i", select_range=(first, last), eigvals_only=True)))
+    assert radial_fd_eigen(dipole_state) == direct
+
+
+def test_fd_spectrum_refuses_a_non_finite_matrix(dipole_state):
+    # A NaN lambda leaves NaN on the FD diagonal; it is refused before LAPACK.
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        radial_fd_eigen(dataclasses.replace(dipole_state, lam=math.nan))
 
 
 def test_fd_spectrum_refuses_a_well_too_shallow_for_its_grid():

@@ -4,8 +4,10 @@ Digamma runs against scipy; the Laguerre
 recurrence against scipy.special.eval_genlaguerre; the Mathieu matrix
 route against scipy.special.mathieu_a at integer orders (where scipy
 applies) and against its own three-term recurrence residual at
-fractional orders; gamma0 against Gauss-Laguerre quadrature of its
-defining integral, closed-form reductions, an exact-Fraction
+fractional orders, and its direct LAPACK eigensolve against
+scipy.linalg.eigh_tridiagonal to the bit; gamma0 against
+Gauss-Laguerre quadrature of its defining integral, closed-form
+reductions, an exact-Fraction
 brute-force sum of the terminating multi-index series, and an mpmath
 expansion of the defining integral; its fixed-point core's error bound
 against the exact Fraction core, its packed slot floor against
@@ -382,6 +384,54 @@ def test_mathieu_matrix_rejects_bad_arguments():
             mathieu_char_matrix(m_eff, b, K=25)
         with pytest.raises(ValueError, match="finite"):
             mathieu_even_solution(m_eff, b)
+
+
+def _scipy_eigh(diag, off, first, last, vectors=True):
+    """The tridiagonal eigensolve as scipy.linalg.eigh_tridiagonal gives it."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(diag, off, select="i", select_range=(first, last),
+                            eigvals_only=not vectors)
+
+
+def test_mathieu_matrix_equals_eigh_tridiagonal_to_the_bit(monkeypatch):
+    # LAPACK's dstebz and dstein called directly give scipy's values and
+    # vectors bit for bit; a third of the draws sit at integer nu, where
+    # the tied pair takes two vectors and the overlap picks one.
+    rng = np.random.default_rng(52)
+    draws = [(rng.integers(0, 17) / 2.0 if i % 3 == 0 else rng.uniform(0.0, 8.0),
+              10.0 ** rng.uniform(-3.0, 4.0)) for i in range(150)]
+    draws += [(2.0, 1e4), (0.5, 1e4), (3.0, 1e-3)]
+    direct = [mathieu_even_solution(m_eff, b) for m_eff, b in draws]
+    monkeypatch.setattr(specfun, "_tridiagonal_eigh", _scipy_eigh)
+    for (m_eff, b), sol in zip(draws, direct):
+        ref = mathieu_even_solution(m_eff, b)
+        assert sol.char_number == ref.char_number, (m_eff, b)
+        assert np.array_equal(sol.coeffs, ref.coeffs), (m_eff, b)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tridiagonal_eigh_refuses_a_non_finite_entry(bad):
+    diag, off = np.arange(1.0, 12.0), np.ones(10)
+    for array in (diag, off):
+        array[3] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            specfun._tridiagonal_eigh(diag, off, 0, 2)
+        array[3] = 1.0
+
+
+def test_mathieu_matrix_raises_truncation_error_when_lapack_fails(monkeypatch):
+    # A nonzero LAPACK info is a failed eigensolve, which the Mathieu route
+    # reports as TruncationError.
+    dstebz, dstein = specfun._lapack_pair()
+
+    def failing_dstein(*args):
+        vecs, _ = dstein(*args)
+        return vecs, 1
+
+    monkeypatch.setattr(specfun, "_lapack_pair", lambda: (dstebz, failing_dstein))
+    with pytest.raises(TruncationError, match="eigensolve failed"):
+        mathieu_char_matrix(2.2, 0.4, K=25)
 
 
 # -------------------------------------------------------------------- gamma0

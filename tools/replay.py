@@ -76,6 +76,15 @@ EXTRA = (
      "--m", "1", "--delta", "2.29", "--measure", "energy,fisher"),
     ("compute", "--De", "1e-300", "--re", "1e-150", "--mu", "1e-150", "--m", "1",
      "--measure", "energy"),
+    # Mathieu mode at integer 2 (m + delta), which the workloads avoid: the
+    # eigensolve's tied pair at nu^2 and its overlap pick
+    ("compute", "--De", "3", "--re", "1", "--D", "0.3", "--delta", "0", "--n", "1",
+     "--m", "2", "--mode", "mathieu", "--measure", "fisher,wq", "--q", "3"),
+    ("compute", "--De", "3", "--re", "1", "--D", "0.3", "--delta", "0.5", "--n", "1",
+     "--m", "1", "--mode", "mathieu", "--measure", "fisher,wq", "--q", "3"),
+    # beta^2 past the double range where Fisher's I is not
+    ("compute", "--De", "1.81e239", "--re", "6.68e-17", "--mu", "9.72e70", "--n", "8",
+     "--delta", "0.75", "--measure", "fisher"),
     # argv that only argparse reads: its errors and help text
     ("compute", "--bogus", "1"),
     ("compute", "--De=1", "--re", "1"),
